@@ -1,11 +1,13 @@
 // Component microbenchmarks (google-benchmark): the building blocks whose
 // costs dominate the end-to-end experiments — HTML parsing, xpath
-// evaluation, LR extraction, record segmentation, alignment, KDE scoring,
-// and the two enumeration algorithms on a representative dealer site.
+// evaluation, LR extraction, dictionary annotation, record segmentation,
+// alignment, KDE scoring, ranking, and the two enumeration algorithms on a
+// representative dealer site.
 
 #include <benchmark/benchmark.h>
 
 #include "align/edit_distance.h"
+#include "annotate/dictionary_annotator.h"
 #include "common/rng.h"
 #include "core/enumerate.h"
 #include "core/lr_inductor.h"
@@ -15,6 +17,7 @@
 #include "datasets/dealers.h"
 #include "html/parser.h"
 #include "html/serializer.h"
+#include "sitegen/vocab.h"
 #include "stats/kde.h"
 #include "xpath/evaluator.h"
 #include "xpath/parser.h"
@@ -90,6 +93,35 @@ void BM_LrInduce(benchmark::State& state) {
 }
 BENCHMARK(BM_LrInduce);
 
+// A dictionary of `size` entries: 408 names from the DEALERS business-name
+// universe (the generated dictionary's size), padded with numbered names
+// that occur on no page. The paper's Yahoo! Local dictionary is far larger
+// than 408 entries; annotation cost should not grow with it.
+std::vector<std::string> PaddedDictionary(size_t size) {
+  datasets::DealersConfig config;
+  std::vector<std::string> names = sitegen::BusinessNameUniverse(
+      config.universe_size, config.seed * 977);
+  names.resize(std::min<size_t>(names.size(), 408));
+  Rng rng(17);
+  while (names.size() < size) {
+    names.push_back(sitegen::BusinessName(&rng) + " No. " +
+                    std::to_string(names.size()));
+  }
+  names.resize(size);
+  return names;
+}
+
+void BM_DictionaryAnnotate(benchmark::State& state) {
+  const core::PageSet& pages = Site().site.pages;
+  annotate::DictionaryAnnotator annotator(
+      PaddedDictionary(static_cast<size_t>(state.range(0))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(annotator.Annotate(pages).size());
+  }
+  state.counters["text_nodes"] = static_cast<double>(pages.TextNodeCount());
+}
+BENCHMARK(BM_DictionaryAnnotate)->Arg(408)->Arg(4080)->Arg(40800);
+
 void BM_SegmentRecords(benchmark::State& state) {
   const datasets::SiteData& data = Site();
   const core::NodeSet& truth = data.site.truth.at("name");
@@ -164,6 +196,24 @@ void BM_EnumerateBottomUp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EnumerateBottomUp);
+
+void BM_Rank(benchmark::State& state) {
+  const datasets::Dataset& dealers = Dealers();
+  datasets::Split split = datasets::MakeSplit(dealers);
+  datasets::TrainedModels models =
+      std::move(datasets::LearnModels(dealers, "name", split.train)).value();
+  core::Ranker ranker(models.annotation, models.publication);
+  core::LrInductor inductor;
+  const datasets::SiteData& data = dealers.sites[split.test[0]];
+  const core::NodeSet& labels = data.annotations.at("name");
+  core::WrapperSpace space =
+      core::EnumerateTopDown(inductor, data.site.pages, labels);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ranker.Rank(space, data.site.pages, labels).size());
+  }
+  state.counters["candidates"] = static_cast<double>(space.size());
+}
+BENCHMARK(BM_Rank);
 
 void BM_FullNtwSite(benchmark::State& state) {
   const datasets::Dataset& dealers = Dealers();

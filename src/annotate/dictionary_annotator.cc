@@ -11,25 +11,33 @@ namespace ntw::annotate {
 DictionaryAnnotator::DictionaryAnnotator(std::vector<std::string> entries,
                                          Options options)
     : options_(options) {
-  entries_.reserve(entries.size());
-  for (std::string& entry : entries) {
-    if (entry.size() >= options_.min_entry_length) {
-      entries_.push_back(std::move(entry));
-    }
+  for (const std::string& entry : entries) {
+    if (entry.size() < options_.min_entry_length) continue;
+    ++size_;
+    // An empty needle never matches (ContainsWordIgnoreCase), so "" is
+    // counted but not indexed.
+    if (entry.empty()) continue;
+    index_.insert(ToLower(entry));
+    lengths_.push_back(entry.size());
   }
-  // Longest first: cheap way to prefer the most specific mention; also
-  // makes Matches() deterministic in its scan order.
-  std::sort(entries_.begin(), entries_.end(),
-            [](const std::string& a, const std::string& b) {
-              if (a.size() != b.size()) return a.size() > b.size();
-              return a < b;
-            });
+  std::sort(lengths_.begin(), lengths_.end());
+  lengths_.erase(std::unique(lengths_.begin(), lengths_.end()),
+                 lengths_.end());
 }
 
 bool DictionaryAnnotator::Matches(const std::string& text) const {
-  for (const std::string& entry : entries_) {
-    if (entry.size() > text.size()) continue;
-    if (ContainsWordIgnoreCase(text, entry)) return true;
+  const size_t n = text.size();
+  std::string mention;
+  for (size_t start = 0; start < n; ++start) {
+    if (start > 0 && IsAsciiAlnum(text[start - 1])) continue;
+    for (size_t length : lengths_) {
+      size_t end = start + length;
+      if (end > n) break;
+      if (end < n && IsAsciiAlnum(text[end])) continue;
+      mention.assign(text, start, length);
+      for (char& c : mention) c = AsciiToLower(c);
+      if (index_.count(mention) > 0) return true;
+    }
   }
   return false;
 }

@@ -34,13 +34,21 @@ class DictionaryAnnotator : public Annotator {
   core::NodeSet Annotate(const core::PageSet& pages) const override;
   std::string Name() const override { return "dictionary"; }
 
-  size_t size() const { return entries_.size(); }
+  /// Number of entries kept (at least min_entry_length bytes long).
+  size_t size() const { return size_; }
 
-  /// True when `text` contains an exact mention of some entry.
+  /// True when `text` contains an exact mention of some entry: some kept
+  /// entry satisfies ContainsWordIgnoreCase(text, entry). Only spans that
+  /// start and end on word boundaries and have an entry's length are
+  /// looked up, so the cost does not grow with the dictionary.
   bool Matches(const std::string& text) const;
 
  private:
-  std::vector<std::string> entries_;
+  /// ASCII-lowercased non-empty kept entries.
+  std::unordered_set<std::string> index_;
+  /// Distinct byte lengths of the indexed entries, ascending.
+  std::vector<size_t> lengths_;
+  size_t size_ = 0;
   Options options_;
 };
 

@@ -1,6 +1,8 @@
 #include "core/publication_model.h"
 
 #include <algorithm>
+#include <limits>
+#include <string_view>
 #include <unordered_map>
 
 #include "align/edit_distance.h"
@@ -9,34 +11,6 @@ namespace ntw::core {
 namespace {
 
 constexpr int kTextToken = 0;
-
-/// Flattens one page to pre-order tokens, recording the token position of
-/// every text node (by pre-order index).
-void FlattenPage(const html::Document& doc,
-                 std::unordered_map<std::string, int>* tag_ids,
-                 std::vector<int>* tokens,
-                 std::vector<std::pair<int, size_t>>* text_positions) {
-  struct Frame {
-    const html::Node* node;
-  };
-  std::vector<Frame> stack = {{doc.root()}};
-  while (!stack.empty()) {
-    const html::Node* node = stack.back().node;
-    stack.pop_back();
-    if (node->is_text()) {
-      text_positions->emplace_back(node->preorder_index(), tokens->size());
-      tokens->push_back(kTextToken);
-    } else if (node->is_element()) {
-      auto [it, inserted] =
-          tag_ids->emplace(node->tag(),
-                           static_cast<int>(tag_ids->size()) + 1);
-      tokens->push_back(it->second);
-    }
-    for (size_t i = node->children().size(); i > 0; --i) {
-      stack.push_back({node->children()[i - 1].get()});
-    }
-  }
-}
 
 /// Deterministic pair sample over `n` segments: everything for small n,
 /// adjacent + strided pairs for large n, capped.
@@ -70,45 +44,103 @@ std::vector<std::pair<size_t, size_t>> SamplePairs(size_t n) {
 
 }  // namespace
 
+PageTokens::PageTokens(const PageSet& pages) {
+  std::unordered_map<std::string_view, int> tag_ids;
+  pages_.resize(pages.size());
+  for (size_t p = 0; p < pages.size(); ++p) {
+    const html::Document& doc = pages.page(p);
+    Page& page = pages_[p];
+    page.tokens.reserve(doc.node_count());
+    page.text_positions.assign(doc.node_count(), -1);
+    // Pre-order index order is the pre-order token order.
+    for (size_t i = 0; i < doc.node_count(); ++i) {
+      const html::Node* node = doc.node(static_cast<int>(i));
+      if (node->is_text()) {
+        page.text_positions[i] = static_cast<int>(page.tokens.size());
+        page.tokens.push_back(kTextToken);
+      } else if (node->is_element()) {
+        auto [it, inserted] = tag_ids.emplace(
+            node->tag(), static_cast<int>(tag_ids.size()) + 1);
+        page.tokens.push_back(it->second);
+      }
+    }
+  }
+}
+
+int PageTokens::TextPosition(size_t p, int node) const {
+  const std::vector<int>& positions = pages_[p].text_positions;
+  if (node < 0 || static_cast<size_t>(node) >= positions.size()) return -1;
+  return positions[static_cast<size_t>(node)];
+}
+
 std::vector<Segment> SegmentRecords(
-    const PageSet& pages, const std::vector<const NodeSet*>& typed_sets) {
+    const PageTokens& pages, const std::vector<const NodeSet*>& typed_sets) {
   std::vector<Segment> segments;
   if (typed_sets.empty() || typed_sets[0] == nullptr) return segments;
-  const NodeSet& boundary = *typed_sets[0];
 
-  std::unordered_map<std::string, int> tag_ids;
+  // The references of `set` on page p: a contiguous run of the sorted set.
+  auto on_page = [](const NodeSet& set, size_t p) {
+    const int page = static_cast<int>(p);
+    constexpr int kFirstNode = std::numeric_limits<int>::min();
+    return std::make_pair(
+        std::lower_bound(set.begin(), set.end(), NodeRef{page, kFirstNode}),
+        std::lower_bound(set.begin(), set.end(),
+                         NodeRef{page + 1, kFirstNode}));
+  };
+
+  std::vector<size_t> boundary_positions;
+  std::vector<int> typed;
   for (size_t p = 0; p < pages.size(); ++p) {
-    std::vector<int> tokens;
-    std::vector<std::pair<int, size_t>> text_positions;
-    FlattenPage(pages.page(p), &tag_ids, &tokens, &text_positions);
+    // Boundary text nodes in pre-order, hence in token order.
+    boundary_positions.clear();
+    auto [first, last] = on_page(*typed_sets[0], p);
+    for (auto it = first; it != last; ++it) {
+      int pos = pages.TextPosition(p, it->node);
+      if (pos >= 0) boundary_positions.push_back(static_cast<size_t>(pos));
+    }
+    if (boundary_positions.size() < 2) continue;
 
-    // Re-token text nodes that belong to a typed set (type t gets −(t+1)),
-    // so records must align their typed items (Appendix A ranking).
-    std::vector<size_t> boundary_positions;
-    for (const auto& [preorder, pos] : text_positions) {
-      NodeRef ref{static_cast<int>(p), preorder};
-      for (size_t t = 0; t < typed_sets.size(); ++t) {
-        if (typed_sets[t] != nullptr && typed_sets[t]->Contains(ref)) {
-          tokens[pos] = -static_cast<int>(t) - 1;
-          break;
+    // Re-token text nodes that belong to a typed set (the first type t
+    // claiming a node gives it −(t+1)), so records must align their typed
+    // items (Appendix A ranking). Only the span the segments cover is
+    // copied.
+    const std::vector<int>& tokens = pages.tokens(p);
+    const size_t begin = boundary_positions.front();
+    const size_t end = boundary_positions.back();
+    typed.assign(tokens.begin() + static_cast<long>(begin),
+                 tokens.begin() + static_cast<long>(end));
+    for (size_t t = 0; t < typed_sets.size(); ++t) {
+      if (typed_sets[t] == nullptr) continue;
+      auto [type_first, type_last] = on_page(*typed_sets[t], p);
+      for (auto it = type_first; it != type_last; ++it) {
+        int pos = pages.TextPosition(p, it->node);
+        if (pos < 0 || static_cast<size_t>(pos) < begin ||
+            static_cast<size_t>(pos) >= end) {
+          continue;
         }
+        int& token = typed[static_cast<size_t>(pos) - begin];
+        if (token == kTextToken) token = -static_cast<int>(t) - 1;
       }
-      if (boundary.Contains(ref)) boundary_positions.push_back(pos);
     }
 
     // Segments between consecutive boundary nodes (pre-order traversal
     // from one element of X to the next, Sec. 6 / Fig. 7).
     for (size_t b = 0; b + 1 < boundary_positions.size(); ++b) {
       segments.emplace_back(
-          tokens.begin() + static_cast<long>(boundary_positions[b]),
-          tokens.begin() + static_cast<long>(boundary_positions[b + 1]));
+          typed.begin() + static_cast<long>(boundary_positions[b] - begin),
+          typed.begin() + static_cast<long>(boundary_positions[b + 1] - begin));
     }
   }
   return segments;
 }
 
+std::vector<Segment> SegmentRecords(
+    const PageSet& pages, const std::vector<const NodeSet*>& typed_sets) {
+  return SegmentRecords(PageTokens(pages), typed_sets);
+}
+
 std::vector<Segment> SegmentRecords(const PageSet& pages, const NodeSet& x) {
-  return SegmentRecords(pages, {&x});
+  return SegmentRecords(PageTokens(pages), {&x});
 }
 
 ListFeatures ComputeListFeatures(const std::vector<Segment>& segments,
@@ -181,9 +213,14 @@ double PublicationModel::LogProb(const ListFeatures& features) const {
          alignment_kde_.LogDensity(features.alignment);
 }
 
+double PublicationModel::LogProb(const PageTokens& pages,
+                                 const NodeSet& x) const {
+  return LogProb(ComputeListFeatures(SegmentRecords(pages, {&x})));
+}
+
 double PublicationModel::LogProb(const PageSet& pages,
                                  const NodeSet& x) const {
-  return LogProb(ComputeListFeatures(SegmentRecords(pages, x)));
+  return LogProb(PageTokens(pages), x);
 }
 
 }  // namespace ntw::core

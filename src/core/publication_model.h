@@ -17,12 +17,39 @@ namespace ntw::core {
 /// One record segment: interned structural tokens (tag names and #text).
 using Segment = std::vector<int>;
 
-/// Extracts record segments for X over the pages. Token ids: 0 is #text;
-/// tags are interned per call; text nodes belonging to `typed_sets[t]` get
-/// the distinct token -(t+1) so multi-type alignment (Appendix A) can
-/// require type positions to match. Segmentation boundaries come from
-/// typed_sets[0]. Pages with fewer than two boundary nodes contribute no
-/// segments.
+/// The pages' pre-order token streams, flattened once so that scoring
+/// many extractions over the same pages (every candidate of a ranking)
+/// walks each DOM once. Token ids: 0 is #text; tags are interned across
+/// the pages in order of first appearance, starting at 1.
+class PageTokens {
+ public:
+  explicit PageTokens(const PageSet& pages);
+
+  size_t size() const { return pages_.size(); }
+  /// Page `p`'s tokens, one per element or text node in pre-order.
+  const std::vector<int>& tokens(size_t p) const { return pages_[p].tokens; }
+  /// Position in tokens(p) of the text node with pre-order index `node`;
+  /// -1 when that node is not a text node of page `p`.
+  int TextPosition(size_t p, int node) const;
+
+ private:
+  struct Page {
+    std::vector<int> tokens;
+    /// By pre-order index; -1 for nodes that are not text.
+    std::vector<int> text_positions;
+  };
+  std::vector<Page> pages_;
+};
+
+/// Extracts record segments for X over the pages. Text nodes belonging to
+/// `typed_sets[t]` (the first such t) get the distinct token -(t+1) so
+/// multi-type alignment (Appendix A) can require type positions to match.
+/// Segmentation boundaries come from typed_sets[0]. Pages with fewer than
+/// two boundary nodes contribute no segments.
+std::vector<Segment> SegmentRecords(const PageTokens& pages,
+                                    const std::vector<const NodeSet*>& typed_sets);
+
+/// Flattens `pages` and segments them as above.
 std::vector<Segment> SegmentRecords(const PageSet& pages,
                                     const std::vector<const NodeSet*>& typed_sets);
 
@@ -61,6 +88,7 @@ class PublicationModel {
   double LogProb(const ListFeatures& features) const;
 
   /// Convenience: segment + featurize + score in one call (single type).
+  double LogProb(const PageTokens& pages, const NodeSet& x) const;
   double LogProb(const PageSet& pages, const NodeSet& x) const;
 
   const stats::KernelDensity& schema_kde() const { return schema_kde_; }

@@ -32,14 +32,16 @@ std::vector<ScoredCandidate> Ranker::Rank(const WrapperSpace& space,
   candidates->Add(static_cast<int64_t>(space.candidates.size()));
   // Candidate scores are independent; compute them in parallel into
   // per-index slots (deterministic: identical doubles at any thread
-  // count), then sort serially.
+  // count), then sort serially. The pages are flattened once for all
+  // candidates.
+  const PageTokens tokens(pages);
   std::vector<ScoredCandidate> scored(space.candidates.size());
   ThreadPool::Global().ParallelFor(space.candidates.size(), [&](size_t i) {
     const Candidate& candidate = space.candidates[i];
     ScoredCandidate& sc = scored[i];
     sc.candidate_index = i;
     sc.log_annotation = annotation_.LogProb(labels, candidate.extraction);
-    sc.log_list = publication_.LogProb(pages, candidate.extraction);
+    sc.log_list = publication_.LogProb(tokens, candidate.extraction);
     switch (variant_) {
       case RankerVariant::kFull:
         sc.total = sc.log_annotation + sc.log_list;

@@ -25,11 +25,29 @@ const std::string* Node::GetAttr(std::string_view name) const {
   return nullptr;
 }
 
+Node::~Node() {
+  // Each node is destroyed after its children were moved out, so no
+  // destructor recurses.
+  std::vector<std::unique_ptr<Node>> pending = std::move(children_);
+  while (!pending.empty()) {
+    std::unique_ptr<Node> node = std::move(pending.back());
+    pending.pop_back();
+    for (auto& child : node->children_) pending.push_back(std::move(child));
+    node->children_.clear();
+  }
+}
+
 std::string Node::TextContent() const {
-  if (is_text()) return text_;
+  // Iterative pre-order walk: nesting depth is bounded only by page size.
   std::string out;
-  for (const auto& child : children_) {
-    out += child->TextContent();
+  std::vector<const Node*> stack = {this};
+  while (!stack.empty()) {
+    const Node* node = stack.back();
+    stack.pop_back();
+    if (node->is_text()) out += node->text_;
+    for (size_t i = node->children_.size(); i > 0; --i) {
+      stack.push_back(node->children_[i - 1].get());
+    }
   }
   return out;
 }

@@ -37,6 +37,10 @@ class Node {
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
+  /// Tears the subtree down iteratively: the default unique_ptr chain
+  /// would recurse once per level and overflow the stack on deeply nested
+  /// pages.
+  ~Node();
 
   NodeKind kind() const { return kind_; }
   bool is_element() const { return kind_ == NodeKind::kElement; }

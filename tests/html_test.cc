@@ -295,6 +295,25 @@ TEST(ParserTest, TextContentConcatenates) {
   EXPECT_EQ(doc.root()->child(0)->TextContent(), "NAMEADDR");
 }
 
+TEST(ParserTest, MillionLevelNestingSurvivesTextContentAndTeardown) {
+  // ~5 MB, under the serving default max_body_bytes: the heap DOM must
+  // neither recurse per level in TextContent nor in its destructor.
+  constexpr size_t kDepth = 1000000;
+  std::string html = "<html><body>";
+  html.reserve(html.size() + kDepth * 5 + 4);
+  for (size_t i = 0; i < kDepth; ++i) html += "<div>";
+  html += "deep";
+  {
+    Result<Document> doc = Parse(html);
+    ASSERT_TRUE(doc.ok());
+    // Root, html, body, the divs and one text node.
+    EXPECT_EQ(doc->node_count(), kDepth + 4);
+    ASSERT_EQ(doc->text_nodes().size(), 1u);
+    EXPECT_EQ(doc->root()->TextContent(), "deep");
+    EXPECT_EQ(doc->root()->child(0)->TextContent(), "deep");
+  }  // Destroys the million-level chain.
+}
+
 TEST(ParserTest, CommentsDropped) {
   Document doc = MustParse("<div><!-- hidden -->x</div>");
   EXPECT_EQ(doc.root()->child(0)->child_count(), 1u);

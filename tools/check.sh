@@ -1,9 +1,13 @@
 #!/bin/sh
 # Tier-1 verification: build + ctest once normally, then once under
 # ThreadSanitizer (NTW_SANITIZE=thread) to vet the parallel enumeration
-# engine, then a smoke run of the perf bench runner. Every stage must
-# pass; each failure is reported and propagated explicitly (set -e alone
-# is too easy to defeat — e.g. a future `ctest || true` or an `if`
+# engine, then smoke runs of the bench runners and of the repository
+# benchmark (tools/perfbench_smoke.sh; its learn_dealers gate compares
+# with .bench_build/perfbench-state/learn_dealers_seed1.ref from an
+# earlier run in this checkout — delete that file after a change that
+# alters the learned winners on purpose). Every stage must pass; each
+# failure is reported and propagated explicitly (set -e alone is too
+# easy to defeat — e.g. a future `ctest || true` or an `if`
 # context would swallow the TSan suite's exit code).
 # Usage: tools/check.sh [extra ctest args, e.g. -R enumerate_test]
 set -u
@@ -117,6 +121,12 @@ echo "==> ntw_loadgen smoke (scalar scan)"
 NTW_NO_SIMD=1 "$ROOT/build/tools/ntw_loadgen" --smoke --shards 2 \
     --out "$ROOT/build/BENCH_serve_scalar.json" || {
   echo "check.sh: ntw_loadgen NTW_NO_SIMD=1 smoke run FAILED" >&2
+  FAILED=1
+}
+
+echo "==> repository benchmark smoke (every BENCHMARK.json workload)"
+sh "$ROOT/tools/perfbench_smoke.sh" || {
+  echo "check.sh: repository benchmark smoke FAILED" >&2
   FAILED=1
 }
 
