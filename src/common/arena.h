@@ -44,8 +44,7 @@ class Arena {
   // Bytes handed out since the last Reset (including alignment padding).
   size_t used() const { return used_; }
   // Portion of used() that forced fresh chunk growth this cycle. The
-  // difference used() - fresh_bytes() was served from recycled capacity —
-  // that is what the serving layer reports as arena_bytes_reused.
+  // difference used() - fresh_bytes() was served from recycled capacity.
   size_t fresh_bytes() const { return fresh_bytes_; }
   // Total bytes owned across all chunks.
   size_t capacity() const { return capacity_; }

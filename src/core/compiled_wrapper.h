@@ -35,8 +35,8 @@ class StringSearcher {
   size_t skip_[256] = {};
 };
 
-/// Reusable per-request buffers for the DOM fast path: the arena document
-/// plus the evaluator scratch. Acquire one from a BufferPool, parse into
+/// Reusable per-request buffers for Extract() over the arena DOM: the
+/// arena document plus the evaluator scratch. Acquire one from a BufferPool, parse into
 /// `doc`, run CompiledWrapper::Extract, copy the values out, release.
 /// Everything keeps its capacity across uses; steady state allocates
 /// nothing.
@@ -114,8 +114,8 @@ class StreamPageBuffer {
   std::vector<std::pair<size_t, size_t>> xextents_;
 };
 
-/// A thread-safe free list of per-request buffers (FastPageBuffer for the
-/// DOM fast path, StreamPageBuffer for the streaming path). Lease
+/// A thread-safe free list of per-request buffers (StreamPageBuffer for
+/// the streaming path, FastPageBuffer for the arena DOM). Lease
 /// RAII-returns the buffer (Clear()ed) on destruction.
 template <class Buffer>
 class BufferPool {
@@ -172,15 +172,20 @@ using StreamBufferPool = BufferPool<StreamPageBuffer>;
 
 /// A wrapper compiled into an executable plan:
 ///   - XPATH  → a step program over interned tag/attr ids (no string
-///              compares on the hot path); needs the arena DOM;
+///              compares on the hot path);
 ///   - LR     → occurrence-driven scan of the flattened stream using a BMH
 ///              searcher for the left delimiter;
 ///   - HLRT   → BMH head/tail region narrowing, then anchored LR checks.
 ///
+/// The production path is ExtractStreaming() (DESIGN.md §12); plans
+/// without a streaming form go to the interpreted Wrapper::Extract,
+/// which is also the oracle every compiled path is tested against.
+///
 /// LR and HLRT are defined purely over the flattened character stream —
-/// they never touch the tree — so they are classified dom_free() and can
-/// additionally execute via ExtractStreaming(), which builds the stream
-/// with a StreamPage (no DOM at all) instead of flattening an arena DOM.
+/// they never touch the tree — so they are classified dom_free() and
+/// ExtractStreaming() builds the stream with a StreamPage (no DOM at
+/// all); MatchStreamPage() runs the same matchers on a StreamPage the
+/// caller already built.
 ///
 /// XPath plans are not dom_free(), but almost all of them are
 /// streamable(): the step program can run as a bitset NFA directly
@@ -191,14 +196,16 @@ using StreamBufferPool = BufferPool<StreamPageBuffer>;
 /// never construct arena nodes and only matched text is ever copied.
 /// ExtractStreaming() takes that fused path for streamable() XPath plans.
 ///
-/// Extract() returns, for the single page in `buffer.doc`, exactly the
-/// values the interpreted Wrapper::Extract + node->text() pipeline returns
-/// for the same input, in the same order — the byte-identity contract the
-/// serving layer relies on (tests/fastpath_equivalence_test.cc pins it).
-/// ExtractStreaming() returns those same bytes again, because StreamPage
-/// reproduces the arena flatten byte for byte. The returned string_views
-/// point into the buffer (and, on the streaming path's zero-copy tier,
-/// possibly into the raw input); consume them before releasing either.
+/// Extract() runs any plan over an arena DOM (`buffer.doc`). It has no
+/// production caller; the repository benchmark still measures it, and
+/// it returns, for the single page in `buffer.doc`, exactly the values
+/// the interpreted Wrapper::Extract + node->text() pipeline returns for
+/// the same input, in the same order — the byte-identity contract
+/// (tests/fastpath_equivalence_test.cc pins it). ExtractStreaming()
+/// returns those same bytes again, because StreamPage reproduces the
+/// arena flatten byte for byte. The returned string_views point into the
+/// buffer (and, on the streaming path's zero-copy tier, possibly into
+/// the raw input); consume them before releasing either.
 class CompiledWrapper {
  public:
   /// Compiles `wrapper` (an XPathWrapper, LrWrapper or HlrtWrapper).
@@ -238,24 +245,17 @@ class CompiledWrapper {
   /// matchers for dom_free() plans (LR/HLRT), the fused tokenize→
   /// plan-execute machine for streamable() XPath plans. An XPath plan
   /// that is not streamable() yields no values — callers route those to
-  /// the DOM path.
+  /// the interpreter.
   void ExtractStreaming(std::string_view raw_page, StreamPageBuffer& buffer,
                         std::vector<std::string_view>* values) const;
 
-  /// Occurrence-driven variant of the streaming matchers for the fused
-  /// multi-attribute path: instead of running its own BMH scans, the plan
-  /// consumes precomputed ascending occurrence-begin lists (from one
-  /// shared Aho–Corasick pass — see fused_matcher.h). Byte-identical to
-  /// ExtractStreaming on the same stream/spans. `left_occ` is required
-  /// for LR plans with a non-empty left; `head_occ`/`tail_occ` for HLRT
-  /// plans with non-empty head/tail; unused lists may be null. XPath
-  /// plans yield no values.
-  void ExtractWithOccurrences(std::string_view stream,
-                              const std::vector<html::StreamSpan>& spans,
-                              const std::vector<size_t>* left_occ,
-                              const std::vector<size_t>* head_occ,
-                              const std::vector<size_t>* tail_occ,
-                              std::vector<std::string_view>* values) const;
+  /// The stream matchers of a dom_free() plan run on a StreamPage the
+  /// caller already built — ExtractStreaming minus the Build, so one page
+  /// can serve every LR/HLRT attribute of a site (FusedSiteExtractor).
+  /// Byte-identical to ExtractStreaming on the page's source bytes.
+  /// XPath plans yield no values.
+  void MatchStreamPage(const html::StreamPage& page,
+                       std::vector<std::string_view>* values) const;
 
   /// Capability flag: true when the plan is defined over the flattened
   /// character stream alone and never needs a DOM (LR/HLRT).
@@ -268,6 +268,11 @@ class CompiledWrapper {
   /// attribute filters are all prefix-computable from the event stream;
   /// nothing learned by the inductors falls outside this today.
   bool streamable() const { return kind_ == Kind::kXPath && streamable_; }
+
+  /// True when ExtractStreaming() serves this plan (dom_free() or
+  /// streamable()). Serve, crawl and ntw_extract route every other plan
+  /// to the interpreter.
+  bool has_streaming_form() const { return dom_free() || streamable(); }
 
   /// "xpath", "lr" or "hlrt" — for routing metrics and bench phase labels.
   const char* plan_kind() const;

@@ -10,7 +10,6 @@
 #include <cstring>
 
 #include "common/strings.h"
-#include "core/fused_matcher.h"
 #include "core/hlrt_inductor.h"
 #include "core/lr_inductor.h"
 #include "core/wrapper_store.h"
@@ -117,7 +116,6 @@ std::string WrapperPackBuilder::Build() const {
   };
 
   std::string plans;
-  std::string automata;
   std::vector<PackSiteRec> site_recs;
   std::vector<PackEntryRec> entry_recs;
 
@@ -127,19 +125,10 @@ std::string WrapperPackBuilder::Build() const {
     srec.entry_begin = static_cast<uint32_t>(entry_recs.size());
     srec.entry_count = static_cast<uint32_t>(attrs.size());
 
-    // The per-site fused automaton: pattern ids are assigned in entry
-    // (attribute) order, LR lefts then HLRT heads/tails per plan —
-    // exactly the order FusedSiteExtractor::Build uses, so directory-
-    // and pack-backend automata are bitwise identical for the same site.
-    AcBuilder ac;
-
     for (const auto& [attribute, record] : attrs) {
       PackEntryRec erec{};
       erec.attribute = intern(attribute);
       erec.record = intern(record);
-      erec.left_pattern = kNoPattern;
-      erec.head_pattern = kNoPattern;
-      erec.tail_pattern = kNoPattern;
 
       auto parsed = DeserializeWrapper(record);
       // Add() already validated; a failure here means the caller mutated
@@ -150,15 +139,12 @@ std::string WrapperPackBuilder::Build() const {
         erec.plan_kind = kPackPlanLr;
         AppendRef(&plans, intern(lr->left()));
         AppendRef(&plans, intern(lr->right()));
-        erec.left_pattern = ac.AddPattern(lr->left());
       } else if (const auto* h = dynamic_cast<const HlrtWrapper*>(w)) {
         erec.plan_kind = kPackPlanHlrt;
         AppendRef(&plans, intern(h->head()));
         AppendRef(&plans, intern(h->tail()));
         AppendRef(&plans, intern(h->left()));
         AppendRef(&plans, intern(h->right()));
-        erec.head_pattern = ac.AddPattern(h->head());
-        erec.tail_pattern = ac.AddPattern(h->tail());
       } else if (const auto* x = dynamic_cast<const XPathWrapper*>(w)) {
         erec.plan_kind = kPackPlanXPath;
         const auto& steps = x->expr().steps;
@@ -188,16 +174,9 @@ std::string WrapperPackBuilder::Build() const {
       erec.plan_len = plans.size() - erec.plan_off;
       entry_recs.push_back(erec);
     }
-
-    std::string blob = ac.Build();
-    PadTo8(&automata);
-    srec.automaton_off = automata.size();  // Relative; rebased below.
-    srec.automaton_len = blob.size();
-    automata.append(blob);
     site_recs.push_back(srec);
   }
   PadTo8(&plans);
-  PadTo8(&automata);
 
   PackHeader header{};
   std::memcpy(header.magic, kPackMagic, sizeof(header.magic));
@@ -209,20 +188,11 @@ std::string WrapperPackBuilder::Build() const {
   header.entries_off = header.sites_off + site_recs.size() * sizeof(PackSiteRec);
   header.plans_off = header.entries_off + entry_recs.size() * sizeof(PackEntryRec);
   header.plans_len = plans.size();
-  header.automata_off = header.plans_off + plans.size();
-  header.automata_len = automata.size();
-  header.strtab_off = header.automata_off + automata.size();
+  header.strtab_off = header.plans_off + plans.size();
   header.strtab_len = strtab.size();
   header.file_size = header.strtab_off + strtab.size();
 
   for (PackEntryRec& erec : entry_recs) erec.plan_off += header.plans_off;
-  for (PackSiteRec& srec : site_recs) {
-    if (srec.automaton_len > 0) {
-      srec.automaton_off += header.automata_off;
-    } else {
-      srec.automaton_off = 0;
-    }
-  }
 
   std::string body;
   body.reserve(static_cast<size_t>(header.file_size) - sizeof(PackHeader));
@@ -233,7 +203,6 @@ std::string WrapperPackBuilder::Build() const {
     AppendRaw(&body, &erec, sizeof(erec));
   }
   body.append(plans);
-  body.append(automata);
   body.append(strtab);
 
   header.body_checksum = Fnv1a(body.data(), body.size());
@@ -301,6 +270,14 @@ Result<std::shared_ptr<const WrapperPack>> WrapperPack::Open(
   const PackHeader& h = pack->header_;
 
   if (std::memcmp(h.magic, kPackMagic, sizeof(kPackMagic)) != 0) {
+    // Same family, other format revision (an NTWPACK1 file): name both
+    // formats rather than report "bad magic", so the fix is obvious.
+    if (std::memcmp(h.magic, kPackMagic, sizeof(kPackMagic) - 1) == 0) {
+      return Status::ParseError(StrFormat(
+          "pack: %s: format %.8s, expected %.8s (rebuild it with ntw_pack "
+          "build)",
+          path.c_str(), h.magic, kPackMagic));
+    }
     return Status::ParseError(StrFormat("pack: %s: bad magic", path.c_str()));
   }
   if (h.version != kPackVersion) {
@@ -458,11 +435,6 @@ std::optional<WrapperPack::EntryView> WrapperPack::SiteView::entry(
   return EntryView(pack_, erec);
 }
 
-std::string_view WrapperPack::SiteView::automaton() const {
-  if (rec_.automaton_len == 0) return {};
-  return pack_->Bytes(rec_.automaton_off, rec_.automaton_len);
-}
-
 std::optional<WrapperPack::SiteView> WrapperPack::site(size_t index) const {
   PackSiteRec rec;
   if (!ReadSite(index, &rec)) return std::nullopt;
@@ -522,8 +494,8 @@ Status WrapperPack::Verify() const {
   }
   // Strongest structural check available: rebuild the pack from its own
   // records and require bitwise identity — Build() is deterministic, so
-  // any divergence in directories, plan blobs, automata, interning, or
-  // padding shows up as a mismatch.
+  // any divergence in directories, plan blobs, interning, or padding
+  // shows up as a mismatch.
   WrapperPackBuilder builder;
   for (uint64_t s = 0; s < h.site_count; ++s) {
     PackSiteRec srec;
@@ -551,15 +523,6 @@ Status WrapperPack::Verify() const {
             site_name.c_str(), static_cast<int>(entry->attribute().size()),
             entry->attribute().data()));
       }
-    }
-    std::string_view automaton = view.automaton();
-    if (srec.automaton_len > 0 && automaton.size() != srec.automaton_len) {
-      return Status::ParseError(StrFormat("pack: %s: automaton of %s out of bounds",
-                                          path_.c_str(), site_name.c_str()));
-    }
-    if (!FusedAutomaton::Validate(automaton)) {
-      return Status::ParseError(StrFormat("pack: %s: invalid automaton for %s",
-                                          path_.c_str(), site_name.c_str()));
     }
   }
   std::string rebuilt = builder.Build();

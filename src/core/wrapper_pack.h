@@ -16,28 +16,29 @@ namespace ntw::core {
 
 /// The wrapper pack (DESIGN.md §15): a single file holding an entire
 /// wrapper repository — interned string table, fixed-layout compiled
-/// plans (offset-based, no pointers), a sorted per-site directory, and
-/// one fused Aho–Corasick delimiter automaton per site — laid out so the
-/// serving daemon opens it with one mmap and pages cold sites in on
-/// demand. Produced by `ntw_pack build` from a `<site>/<attr>.wrapper`
-/// directory; consumed by WrapperRepository's pack backend.
+/// plans (offset-based, no pointers) and a sorted per-site directory —
+/// laid out so the serving daemon opens it with one mmap and pages cold
+/// sites in on demand. Produced by `ntw_pack build` from a
+/// `<site>/<attr>.wrapper` directory; consumed by WrapperRepository's
+/// pack backend.
 ///
-/// File layout (little/native-endian, guarded by an endian stamp):
+/// File layout (NTWPACK2; little/native-endian, guarded by an endian
+/// stamp):
 ///
 ///   PackHeader                      (checksummed; validated at Open)
 ///   site directory  [site_count]    sorted by name
 ///   entry directory [entry_count]   sorted by (site, attribute)
 ///   plans section                   fixed-layout plan blobs
-///   automata section                per-site fused-automaton blobs
 ///   string table                    deduplicated bytes
 ///
 /// Open() validates only the header (magic, version, endian, size,
 /// header checksum) — O(mmap), no body pages touched, which is what
-/// makes cold RSS sublinear in site count. Every accessor bounds-checks
-/// the refs it follows, so a pack whose body is corrupt can return wrong
-/// or missing entries but can never read outside the mapping. `ntw_pack
-/// verify` (Verify()) does the full job: body checksum + structural walk
-/// + plan/automaton cross-checks.
+/// makes cold RSS sublinear in site count. It rejects NTWPACK1 files
+/// with a message naming the format; rebuild them with `ntw_pack build`.
+/// Every accessor bounds-checks the refs it follows, so a pack whose
+/// body is corrupt can return wrong or missing entries but can never
+/// read outside the mapping. `ntw_pack verify` (Verify()) does the full
+/// job: body checksum + structural walk + plan cross-checks.
 
 /// Offset+length into the pack's string table.
 struct PackStrRef {
@@ -54,7 +55,7 @@ enum PackPlanKind : uint32_t {
 };
 
 struct PackHeader {
-  char magic[8];            // "NTWPACK1"
+  char magic[8];            // "NTWPACK2"
   uint32_t version;         // kPackVersion
   uint32_t endian;          // kPackEndian as written by the producer
   uint64_t file_size;       // Total bytes; must equal the mapped size.
@@ -66,36 +67,30 @@ struct PackHeader {
   uint64_t entries_off;
   uint64_t plans_off;
   uint64_t plans_len;
-  uint64_t automata_off;
-  uint64_t automata_len;
   uint64_t strtab_off;
   uint64_t strtab_len;
 };
-static_assert(sizeof(PackHeader) == 120, "fixed on-disk layout");
+static_assert(sizeof(PackHeader) == 104, "fixed on-disk layout");
 
 struct PackSiteRec {
   PackStrRef name;
   uint32_t entry_begin;    // Index into the entry directory.
   uint32_t entry_count;
-  uint64_t automaton_off;  // Absolute file offset; 0/0 = no automaton.
-  uint64_t automaton_len;
 };
-static_assert(sizeof(PackSiteRec) == 32, "fixed on-disk layout");
+static_assert(sizeof(PackSiteRec) == 16, "fixed on-disk layout");
 
 struct PackEntryRec {
   PackStrRef attribute;
   PackStrRef record;       // Serialized wrapper (wrapper_store format).
   uint32_t plan_kind;      // PackPlanKind
-  uint32_t left_pattern;   // Pattern ids into the site's automaton,
-  uint32_t head_pattern;   // kNoPattern (0xFFFFFFFF) when unbound.
-  uint32_t tail_pattern;
+  uint32_t reserved;       // Zero; keeps plan_off 8-aligned.
   uint64_t plan_off;       // Absolute file offset of the plan blob.
   uint64_t plan_len;
 };
-static_assert(sizeof(PackEntryRec) == 48, "fixed on-disk layout");
+static_assert(sizeof(PackEntryRec) == 40, "fixed on-disk layout");
 
-inline constexpr char kPackMagic[8] = {'N', 'T', 'W', 'P', 'A', 'C', 'K', '1'};
-inline constexpr uint32_t kPackVersion = 1;
+inline constexpr char kPackMagic[8] = {'N', 'T', 'W', 'P', 'A', 'C', 'K', '2'};
+inline constexpr uint32_t kPackVersion = 2;
 inline constexpr uint32_t kPackEndian = 0x01020304;
 
 /// Accumulates (site, attribute, record) triples and serializes the pack.
@@ -124,12 +119,12 @@ class WrapperPackBuilder {
 /// A read-only mapped pack. Thread-safe: all state is immutable after
 /// Open. Keep the shared_ptr alive for as long as any view, record
 /// string_view, or plan built from it is in use (plans copy their
-/// delimiters, but record/attribute/automaton views alias the mapping).
+/// delimiters, but record/attribute views alias the mapping).
 class WrapperPack {
  public:
   /// mmaps `path` and validates the header. Fails (never crashes) on
-  /// short files, bad magic/version/endian, size mismatch, or header
-  /// checksum mismatch.
+  /// short files, bad magic/version/endian (an NTWPACK1 file included),
+  /// size mismatch, or header checksum mismatch.
   static Result<std::shared_ptr<const WrapperPack>> Open(
       const std::string& path);
 
@@ -146,9 +141,6 @@ class WrapperPack {
     std::string_view attribute() const;
     std::string_view record() const;
     uint32_t plan_kind() const { return rec_.plan_kind; }
-    uint32_t left_pattern() const { return rec_.left_pattern; }
-    uint32_t head_pattern() const { return rec_.head_pattern; }
-    uint32_t tail_pattern() const { return rec_.tail_pattern; }
 
     /// Reconstructs the compiled plan from the fixed-layout blob —
     /// bitwise the plan CompiledWrapper::Compile builds from the same
@@ -168,8 +160,6 @@ class WrapperPack {
     std::string_view name() const;
     size_t entry_count() const { return rec_.entry_count; }
     std::optional<EntryView> entry(size_t i) const;
-    /// The site's fused-automaton blob (empty when none was stored).
-    std::string_view automaton() const;
 
    private:
     friend class WrapperPack;
@@ -188,8 +178,7 @@ class WrapperPack {
 
   /// Full validation: body checksum, directory sortedness and bounds,
   /// every record deserializable, every plan blob decodable and
-  /// consistent with its record, every automaton valid with pattern
-  /// bindings matching the plans. Touches every page (ntw_pack verify —
+  /// consistent with its record. Touches every page (ntw_pack verify —
   /// never on the serving open path).
   Status Verify() const;
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "crawl/record.h"
-#include "html/arena_dom.h"
 #include "html/parser.h"
 #include "obs/metrics.h"
 
@@ -152,24 +151,13 @@ void CrawlPipeline::ExtractPage(const serve::WrapperRepository::Entry& entry,
   timing.enabled = options_.timing;
   timing.fetch_micros = fetch_micros;
 
-  // The serving stack's three extraction tiers, byte-identical by the
+  // The serving stack's two extraction paths, byte-identical by the
   // fastpath/streaming equivalence contracts.
   size_t value_count = 0;
-  if (options_.fast_path && options_.streaming && entry.compiled != nullptr &&
-      entry.compiled->dom_free()) {
+  if (options_.fast_path && entry.compiled != nullptr &&
+      entry.compiled->has_streaming_form()) {
     core::StreamBufferPool::Lease lease = stream_buffers_.Acquire();
     entry.compiled->ExtractStreaming(body, *lease, &lease->values);
-    timing.extract_micros = MicrosSince(start);
-    AppendRecordLine(site, url, attribute, lease->values, timing, chunk);
-    value_count = lease->values.size();
-    if (options_.self_heal && entry.drift != nullptr) {
-      ObserveDriftSample(entry, body, lease->values.data(),
-                         lease->values.size());
-    }
-  } else if (options_.fast_path && entry.compiled != nullptr) {
-    core::FastBufferPool::Lease lease = buffers_.Acquire();
-    html::ArenaParse(body, &lease->doc);
-    entry.compiled->Extract(*lease, &lease->values);
     timing.extract_micros = MicrosSince(start);
     AppendRecordLine(site, url, attribute, lease->values, timing, chunk);
     value_count = lease->values.size();
@@ -208,17 +196,18 @@ void CrawlPipeline::ExtractSiteFused(
   core::StreamBufferPool::Lease page = stream_buffers_.Acquire();
   core::FusedScratchPool::Lease scratch = fused_scratch_.Acquire();
   fused.ExtractAllStreaming(body, *page, *scratch);
-  // The scan cost is shared by every attribute it served; each record
-  // reports the whole scan (timing is off on byte-identity runs anyway).
+  // The build-and-match cost is shared by every attribute it served; each
+  // record reports the whole of it (timing is off on byte-identity runs
+  // anyway).
   int64_t scan_micros = MicrosSince(start);
   int64_t records = 0;
   int64_t value_total = 0;
   for (const auto& [attribute, entry] : entries) {
     size_t index = fused.FindAttribute(attribute);
     if (index == std::string_view::npos) {
-      // Not automaton-covered (tree plan, or no compiled form): the
-      // regular per-attribute tiers, emitted in place so the line order
-      // matches the non-fused loop exactly.
+      // Not covered (tree plan, or no compiled form): the regular
+      // per-attribute paths, emitted in place so the line order matches
+      // the non-fused loop exactly.
       ExtractPage(*entry, site, attribute, url, body, fetch_micros, chunk);
       continue;
     }
@@ -318,8 +307,8 @@ void CrawlPipeline::ProcessItem(FrontierItem* item, std::string* chunk) {
     std::vector<std::pair<std::string, const serve::WrapperRepository::Entry*>>
         entries = snapshot->MaterializeSite(site);
     std::shared_ptr<const core::FusedSiteExtractor> fused;
-    if (options_.fast_path && options_.streaming && options_.fused &&
-        options_.attribute.empty() && entries.size() >= 2) {
+    if (options_.fast_path && options_.attribute.empty() &&
+        entries.size() >= 2) {
       fused = snapshot->FindFused(site);
     }
     if (fused != nullptr && !fused->attributes().empty()) {

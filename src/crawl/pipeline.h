@@ -45,14 +45,11 @@ struct CrawlOptions {
   // (SiteFromUrl) when the whole crawl targets one site.
   std::string attribute;
   std::string fixed_site;
+  /// Compiled plans run on the streaming path (a site with several
+  /// dom_free wrappers flattens each page once for all of them —
+  /// DESIGN.md §15); false forces the interpreter, the byte-identity
+  /// oracle. Output bytes are identical either way.
   bool fast_path = true;
-  bool streaming = true;
-  /// Scan each page once with the site's fused multi-pattern automaton
-  /// when it has several dom_free wrappers (DESIGN.md §15), instead of
-  /// one BMH pass per attribute. Only consulted when fast_path and
-  /// streaming are on and no single `attribute` filter applies. Output
-  /// bytes are identical either way.
-  bool fused = true;
   /// Feed drift detectors and enqueue re-induction (needs a reinducer).
   bool self_heal = false;
 
@@ -111,8 +108,8 @@ class EmitQueue {
 
 /// The fetch→extract→emit workload (DESIGN.md §14): a frontier-driven
 /// crawl over file:// and http:// origins that reuses the serving stack's
-/// extraction tiers (streaming no-DOM → arena fast path → interpreted,
-/// all byte-identical) against a WrapperRepository snapshot, and emits
+/// extraction paths (streaming no-DOM for compiled plans, interpreted for
+/// the rest — byte-identical) against a WrapperRepository snapshot, and emits
 /// one ntw-crawl-record NDJSON line per (page, attribute) in frontier
 /// dispatch order. Given a fixed seed order the output bytes are
 /// independent of worker count.
@@ -141,10 +138,10 @@ class CrawlPipeline {
                    std::string_view site, std::string_view attribute,
                    const std::string& url, const std::string& body,
                    int64_t fetch_micros, std::string* chunk);
-  /// Fused multi-attribute extraction: one automaton scan of `body`
-  /// yields every dom_free attribute's values; attributes the automaton
-  /// does not cover fall back to ExtractPage. Lines are emitted in the
-  /// same ascending attribute order as the per-attribute loop.
+  /// Fused multi-attribute extraction: one StreamPage build of `body`
+  /// serves every dom_free attribute; attributes the extractor does not
+  /// cover fall back to ExtractPage. Lines are emitted in the same
+  /// ascending attribute order as the per-attribute loop.
   void ExtractSiteFused(
       const core::FusedSiteExtractor& fused,
       const std::vector<
@@ -175,7 +172,6 @@ class CrawlPipeline {
 
   // Reusable extraction buffers; internally synchronized pools shared by
   // all workers of this pipeline.
-  mutable core::FastBufferPool buffers_;
   mutable core::StreamBufferPool stream_buffers_;
   mutable core::FusedScratchPool fused_scratch_;
 };

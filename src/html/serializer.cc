@@ -1,50 +1,78 @@
 #include "html/serializer.h"
 
+#include <vector>
+
 #include "common/strings.h"
 
 namespace ntw::html {
 namespace {
 
-void SerializeTo(const Node* node, std::string* out) {
-  switch (node->kind()) {
-    case NodeKind::kDocument:
-      for (const auto& child : node->children()) {
-        SerializeTo(child.get(), out);
-      }
-      return;
-    case NodeKind::kText:
-      out->append(HtmlEscape(node->text()));
-      return;
-    case NodeKind::kElement:
-      break;
+// Raw-text elements: the tokenizer consumes their contents without
+// entity decoding, so they must be emitted verbatim — escaping would
+// double-encode on every parse/serialize cycle. Their text cannot
+// contain "</tag" (it would have terminated the element at parse time).
+bool IsRawTextTag(const std::string& tag) {
+  return tag == "script" || tag == "style" || tag == "textarea";
+}
+
+// One pending step of an iterative pre-order walk: visit `node`, or
+// (close) emit the end tag of an element whose children are done.
+struct WalkFrame {
+  const Node* node;
+  bool close = false;
+  bool raw_text = false;  // The parent is a raw-text element.
+};
+
+void PushChildren(const Node* node, bool raw_text,
+                  std::vector<WalkFrame>* stack) {
+  const auto& children = node->children();
+  for (size_t i = children.size(); i > 0; --i) {
+    stack->push_back({children[i - 1].get(), false, raw_text});
   }
-  out->push_back('<');
-  out->append(node->tag());
-  for (const auto& [name, value] : node->attrs()) {
-    out->push_back(' ');
-    out->append(name);
-    out->append("=\"");
-    out->append(HtmlEscape(value));
-    out->push_back('"');
-  }
-  out->push_back('>');
-  if (IsVoidElementTag(node->tag())) return;
-  // Raw-text elements: the tokenizer consumes their contents without
-  // entity decoding, so they must be emitted verbatim — escaping would
-  // double-encode on every parse/serialize cycle. Their text cannot
-  // contain "</tag" (it would have terminated the element at parse time).
-  bool raw_text = node->tag() == "script" || node->tag() == "style" ||
-                  node->tag() == "textarea";
-  for (const auto& child : node->children()) {
-    if (raw_text && child->is_text()) {
-      out->append(child->text());
-    } else {
-      SerializeTo(child.get(), out);
+}
+
+// Both walkers below are iterative: nesting depth is bounded only by
+// page size.
+void SerializeTo(const Node* root, std::string* out) {
+  std::vector<WalkFrame> stack = {{root}};
+  while (!stack.empty()) {
+    WalkFrame frame = stack.back();
+    stack.pop_back();
+    const Node* node = frame.node;
+    if (frame.close) {
+      out->append("</");
+      out->append(node->tag());
+      out->push_back('>');
+      continue;
     }
+    switch (node->kind()) {
+      case NodeKind::kDocument:
+        PushChildren(node, false, &stack);
+        continue;
+      case NodeKind::kText:
+        if (frame.raw_text) {
+          out->append(node->text());
+        } else {
+          out->append(HtmlEscape(node->text()));
+        }
+        continue;
+      case NodeKind::kElement:
+        break;
+    }
+    out->push_back('<');
+    out->append(node->tag());
+    for (const auto& [name, value] : node->attrs()) {
+      out->push_back(' ');
+      out->append(name);
+      out->append("=\"");
+      out->append(HtmlEscape(value));
+      out->push_back('"');
+    }
+    out->push_back('>');
+    if (IsVoidElementTag(node->tag())) continue;
+    stack.push_back({node, true});
+    PushChildren(node, IsRawTextTag(node->tag()), &stack);
   }
-  out->append("</");
-  out->append(node->tag());
-  out->push_back('>');
 }
 
 void DumpTo(const Node* node, int depth, std::string* out) {
@@ -75,28 +103,34 @@ void DumpTo(const Node* node, int depth, std::string* out) {
   }
 }
 
-void SignatureTo(const Node* node, std::string* out) {
-  switch (node->kind()) {
-    case NodeKind::kDocument:
-      for (const auto& child : node->children()) {
-        SignatureTo(child.get(), out);
-      }
-      return;
-    case NodeKind::kText:
-      out->append("#text ");
-      return;
-    case NodeKind::kElement:
-      break;
+void SignatureTo(const Node* root, std::string* out) {
+  std::vector<WalkFrame> stack = {{root}};
+  while (!stack.empty()) {
+    WalkFrame frame = stack.back();
+    stack.pop_back();
+    const Node* node = frame.node;
+    if (frame.close) {
+      out->append("</");
+      out->append(node->tag());
+      out->push_back('>');
+      continue;
+    }
+    switch (node->kind()) {
+      case NodeKind::kDocument:
+        PushChildren(node, false, &stack);
+        continue;
+      case NodeKind::kText:
+        out->append("#text ");
+        continue;
+      case NodeKind::kElement:
+        break;
+    }
+    out->push_back('<');
+    out->append(node->tag());
+    out->push_back('>');
+    stack.push_back({node, true});
+    PushChildren(node, false, &stack);
   }
-  out->push_back('<');
-  out->append(node->tag());
-  out->push_back('>');
-  for (const auto& child : node->children()) {
-    SignatureTo(child.get(), out);
-  }
-  out->append("</");
-  out->append(node->tag());
-  out->push_back('>');
 }
 
 }  // namespace

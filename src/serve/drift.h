@@ -106,8 +106,8 @@ class DriftState {
   DriftState(std::string site, std::string attribute, std::string record,
              const DriftConfig& config);
 
-  /// Scores one extraction. `values` are the extracted texts (any of the
-  /// service's three paths), `page_html` the request body — only copied
+  /// Scores one extraction. `values` are the extracted texts (streaming
+  /// or interpreted), `page_html` the request body — only copied
   /// on the drifted collection path. Thread-safe; in kSteady it touches
   /// nothing but striped atomics.
   Action Observe(int shard, const std::string_view* values, size_t count,

@@ -6,7 +6,6 @@
 
 #include "common/obs_export.h"
 #include "common/strings.h"
-#include "html/arena_dom.h"
 #include "html/parser.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -24,7 +23,6 @@ struct ServiceMetrics {
   obs::ShardedCounter* values_extracted;
   obs::ShardedCounter* batch_lines;
   obs::ShardedCounter* wrapper_misses;
-  obs::ShardedCounter* arena_bytes_reused;
   obs::ShardedCounter* streaming_pages;
   obs::ShardedCounter* streaming_verbatim_pages;
   obs::ShardedCounter* streaming_patched_pages;
@@ -32,15 +30,15 @@ struct ServiceMetrics {
   /// Pages served by the fused streaming XPath executor (tokenizer event
   /// stream, no arena DOM, no StreamPage build — so no tier counter).
   obs::ShardedCounter* streaming_xpath_pages;
-  /// Pages that fell off the streaming path, by reason: the toggle was
-  /// off (--no-streaming or --no-fast-path), the entry has no compiled
-  /// plan, or the plan is an XPath program outside streamable()'s bit
-  /// budget. Their sum is exactly the non-streaming page count.
+  /// Pages that fell off the streaming path to the interpreter, by
+  /// reason: --no-fast-path, the entry has no compiled plan, or the plan
+  /// is an XPath program outside streamable()'s bit budget. Their sum is
+  /// exactly the non-streaming page count.
   obs::ShardedCounter* streaming_fallback_disabled;
   obs::ShardedCounter* streaming_fallback_no_plan;
   obs::ShardedCounter* streaming_fallback_unstreamable_xpath;
-  /// attribute=* pages scanned once by a fused site automaton (each scan
-  /// replaces one BMH pass per dom_free attribute).
+  /// attribute=* pages whose dom_free attributes shared one StreamPage
+  /// build (FusedSiteExtractor).
   obs::ShardedCounter* fused_scans;
   obs::ShardedHistogram* extract_latency;
 
@@ -50,8 +48,6 @@ struct ServiceMetrics {
         obs::Registry::Global().GetShardedCounter("ntw.serve.values_extracted"),
         obs::Registry::Global().GetShardedCounter("ntw.serve.batch_lines"),
         obs::Registry::Global().GetShardedCounter("ntw.serve.wrapper_misses"),
-        obs::Registry::Global().GetShardedCounter(
-            "ntw.serve.arena_bytes_reused"),
         obs::Registry::Global().GetShardedCounter("ntw.serve.streaming_pages"),
         obs::Registry::Global().GetShardedCounter(
             "ntw.serve.streaming_verbatim_pages"),
@@ -136,10 +132,8 @@ int64_t MicrosSince(std::chrono::steady_clock::time_point start) {
 
 /// Extracts from one page and writes the `"values":[...]` member.
 /// Streaming no-DOM path for dom_free() and streamable() XPath plans
-/// when enabled; arena fast path (arena DOM + compiled plan) otherwise
-/// when enabled and the entry carries a plan; interpreted as the final
-/// fallback. All paths produce identical JSON bytes — views and strings
-/// serialize the same.
+/// unless fast_path is off; interpreted otherwise. Both produce
+/// identical JSON bytes — views and strings serialize the same.
 void ExtractService::ExtractToJson(const WrapperRepository::Entry& entry,
                                    const std::string& page_html,
                                    obs::JsonWriter& json) const {
@@ -153,8 +147,8 @@ void ExtractService::ExtractArray(const WrapperRepository::Entry& entry,
   ServiceMetrics& metrics = ServiceMetrics::Get();
   int shard = options_.shard;
   auto start = std::chrono::steady_clock::now();
-  if (options_.fast_path && options_.streaming && entry.compiled != nullptr &&
-      (entry.compiled->dom_free() || entry.compiled->streamable())) {
+  if (options_.fast_path && entry.compiled != nullptr &&
+      entry.compiled->has_streaming_form()) {
     // Streaming no-DOM path: BMH over the StreamPage-built stream for
     // dom_free() plans, the fused tokenize→plan-execute machine for
     // streamable() XPath programs — neither builds an arena DOM. On the
@@ -192,30 +186,12 @@ void ExtractService::ExtractArray(const WrapperRepository::Entry& entry,
     return;
   }
   // Off the streaming path: attribute the fallback to its reason.
-  if (!options_.fast_path || !options_.streaming) {
+  if (!options_.fast_path) {
     metrics.streaming_fallback_disabled->Add(shard, 1);
   } else if (entry.compiled == nullptr) {
     metrics.streaming_fallback_no_plan->Add(shard, 1);
   } else {
     metrics.streaming_fallback_unstreamable_xpath->Add(shard, 1);
-  }
-  if (options_.fast_path && entry.compiled != nullptr) {
-    core::FastBufferPool::Lease lease = buffers_.Acquire();
-    html::ArenaParse(page_html, &lease->doc);
-    entry.compiled->Extract(*lease, &lease->values);
-    metrics.extract_latency->Record(shard, MicrosSince(start));
-    json.BeginArray();
-    for (std::string_view value : lease->values) json.String(value);
-    json.EndArray();
-    metrics.pages_extracted->Add(shard, 1);
-    metrics.values_extracted->Add(shard,
-                                  static_cast<int64_t>(lease->values.size()));
-    ObserveDrift(entry, page_html, lease->values.data(),
-                 lease->values.size());
-    const Arena& arena = lease->doc.arena();
-    metrics.arena_bytes_reused->Add(
-        shard, static_cast<int64_t>(arena.used() - arena.fresh_bytes()));
-    return;
   }
   std::vector<std::string> values =
       ExtractValuesInterpreted(*entry.wrapper, page_html);
@@ -239,15 +215,13 @@ void ExtractService::ExtractAllToJson(
   ServiceMetrics& metrics = ServiceMetrics::Get();
   int shard = options_.shard;
   std::shared_ptr<const core::FusedSiteExtractor> fused;
-  if (options_.fast_path && options_.streaming && options_.fused) {
-    fused = snapshot.FindFused(site);
-  }
+  if (options_.fast_path) fused = snapshot.FindFused(site);
   json.Key("attributes");
   json.BeginObject();
   if (fused != nullptr && !fused->attributes().empty()) {
-    // One automaton pass yields every dom_free attribute's occurrence
-    // lists; attributes the automaton does not cover (tree plans, or no
-    // compiled form) fall through to per-attribute extraction below.
+    // One StreamPage build serves every dom_free attribute; attributes
+    // the extractor does not cover (tree plans, or no compiled form)
+    // fall through to per-attribute extraction below.
     auto start = std::chrono::steady_clock::now();
     core::StreamBufferPool::Lease page = stream_buffers_.Acquire();
     core::FusedScratchPool::Lease scratch = fused_scratch_.Acquire();

@@ -30,46 +30,37 @@ namespace ntw::serve {
 /// bytes, whatever the concurrency (the batch fan-out writes pre-sized
 /// per-line slots that are joined in input order).
 ///
-/// Extraction runs on the compiled fast path by default (arena DOM +
-/// CompiledWrapper plans from the repository snapshot, with per-request
-/// buffer reuse via a pool); `Options{.fast_path = false}` — the daemon's
-/// --no-fast-path — forces the interpreted Wrapper::Extract path. On top
-/// of that, dom_free() plans (LR/HLRT — DESIGN.md §12) default to the
-/// streaming no-DOM path: the request body goes through StreamPage
-/// (zero-copy when the bytes are already canonical, fused
-/// tokenize→flatten otherwise) and never builds an arena DOM — and
-/// streamable() XPath plans run the fused tokenize→plan-execute machine
-/// straight off the tokenizer event stream, likewise DOM-free;
-/// `streaming = false` — the daemon's --no-streaming — drops both back
-/// to the arena fast path. All paths are byte-identical by contract,
-/// pinned by tests/fastpath_equivalence_test.cc,
+/// Extraction has one production path plus the interpreter as its
+/// oracle (DESIGN.md §12). By default a compiled plan from the
+/// repository snapshot runs without a DOM: dom_free() plans (LR/HLRT) go
+/// through StreamPage (zero-copy when the bytes are already canonical,
+/// copy-on-write patched or fused tokenize→flatten otherwise) and the
+/// stream matchers, and streamable() XPath plans run the fused
+/// tokenize→plan-execute machine straight off the tokenizer event
+/// stream. Everything else — TABLE wrappers, XPath programs outside the
+/// streamable() bit budget — and every request under
+/// `Options{.fast_path = false}` (the daemon's --no-fast-path) runs the
+/// interpreted Wrapper::Extract over the heap DOM. Both paths are
+/// byte-identical by contract, pinned by
+/// tests/fastpath_equivalence_test.cc,
 /// tests/streaming_equivalence_test.cc and the ntw_loadgen cross-check.
 ///
 /// Sharding (DESIGN.md §11): the daemon instantiates one ExtractService
-/// per reactor shard, so each shard's requests reuse a FastBufferPool no
+/// per reactor shard, so each shard's requests reuse buffer pools no
 /// other shard touches and account to per-shard metric stripes
 /// (`Options::shard`). The repository is shared — reads go through its
 /// wait-free epoch pin, never a lock.
 struct ExtractServiceOptions {
+  /// Run compiled plans on the streaming path; false forces the
+  /// interpreter for every request (the byte-identity oracle).
   bool fast_path = true;
   /// Metric stripe this instance records into (the owning reactor's id).
   int shard = 0;
-  /// Route dom_free() plans and streamable() XPath plans through the
-  /// streaming no-DOM paths. Only consulted when fast_path is on.
-  /// (Declared after `shard` so existing `Options{true, n}`
-  /// brace-initializers keep their meaning.)
-  bool streaming = true;
   /// Feed per-entry drift detectors after every extraction and enqueue
   /// re-induction repairs (DESIGN.md §13). Only effective when the
   /// service was constructed with a ReinduceWorker and the repository has
-  /// a drift config installed. (Declared after `streaming` — see there.)
+  /// a drift config installed.
   bool self_heal = true;
-  /// `attribute=*` requests: scan the page once with the site's fused
-  /// multi-pattern automaton (DESIGN.md §15) instead of once per
-  /// attribute. Only consulted when fast_path and streaming are on; the
-  /// daemon's --no-fused turns it off. Byte-identical either way.
-  /// (Declared last — see `streaming`.)
-  bool fused = true;
 };
 
 class ExtractService {
@@ -104,8 +95,8 @@ class ExtractService {
   void ExtractArray(const WrapperRepository::Entry& entry,
                     const std::string& page_html, obs::JsonWriter& json) const;
   /// Writes the `"attributes":{"a":[...],...}` member for every attribute
-  /// of `site`, ascending. One fused automaton scan covers all dom_free
-  /// plans when enabled; the rest (and the fused-off path) extract
+  /// of `site`, ascending. On the fast path one StreamPage build serves
+  /// every dom_free plan (FusedSiteExtractor); the rest extract
   /// per-attribute through ExtractArray — byte-identical by contract.
   void ExtractAllToJson(
       const WrapperRepository::Snapshot& snapshot, const std::string& site,
@@ -123,14 +114,13 @@ class ExtractService {
   ThreadPool* pool_;
   Options options_;
   ReinduceWorker* reinducer_ = nullptr;
-  // Reusable per-request fast-path buffers (arena DOM + scratch); the pool
-  // is internally synchronized, so Handle() stays const and thread-safe.
-  // One pool per service instance — per shard in the sharded daemon.
-  mutable core::FastBufferPool buffers_;
-  // Lighter buffers (stream page + values) for the streaming no-DOM path.
+  // Reusable per-request buffers (stream page + values + streaming-XPath
+  // scratch); the pool is internally synchronized, so Handle() stays
+  // const and thread-safe. One pool per service instance — per shard in
+  // the sharded daemon.
   mutable core::StreamBufferPool stream_buffers_;
-  // Occurrence lists + per-attribute value slots for fused multi-attribute
-  // extraction (attribute=*).
+  // Per-attribute value slots for fused multi-attribute extraction
+  // (attribute=*).
   mutable core::FusedScratchPool fused_scratch_;
 };
 

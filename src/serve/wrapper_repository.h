@@ -149,11 +149,11 @@ class WrapperRepository {
     const Entry* Find(const std::string& site,
                       const std::string& attribute) const;
 
-    /// The site's fused multi-attribute extractor (one page scan for
-    /// all dom_free attributes). Pack sites use the pack's stored
-    /// automaton; overlay/directory sites build one in memory on first
-    /// use. Null when the site is unknown or has no dom_free plans —
-    /// callers fall back to per-attribute extraction.
+    /// The site's fused multi-attribute extractor (one StreamPage build
+    /// for all dom_free attributes), built on first use from the
+    /// MaterializeSite entries and cached for the snapshot's lifetime.
+    /// Null when the site is unknown or has no dom_free plans — callers
+    /// fall back to per-attribute extraction.
     std::shared_ptr<const core::FusedSiteExtractor> FindFused(
         const std::string& site) const;
 
@@ -176,6 +176,8 @@ class WrapperRepository {
 
     const Entry* MaterializeLocked(const std::string& site,
                                    const std::string& attribute) const;
+    std::vector<std::pair<std::string, const Entry*>> MaterializeSiteLocked(
+        const std::string& site) const;
 
     std::shared_ptr<DriftRegistry> drift_registry_;
     /// Guards the lazy caches; the rest of the snapshot is immutable

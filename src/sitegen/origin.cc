@@ -161,8 +161,9 @@ Status ForEachSyntheticWrapperRecord(
     std::string key = StrFormat("site_%06zu", s);
     Rng rng(options.seed * 1000003 + s);
     for (size_t a = 0; a < options.attrs; ++a) {
-      // Seed-varied delimiters: enough diversity that per-site automata
-      // differ, enough repetition that the pack's interning has work to do.
+      // Seed-varied delimiters: enough diversity that per-site delimiter
+      // sets differ, enough repetition that the pack's interning has work
+      // to do.
       auto variant = static_cast<unsigned long long>(rng.NextBounded(512));
       std::string record;
       switch ((s + a) % 3) {

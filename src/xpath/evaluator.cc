@@ -6,11 +6,19 @@
 namespace ntw::xpath {
 namespace {
 
+// Appends every descendant of `node` in pre-order. Iterative: nesting
+// depth is bounded only by page size.
 void CollectDescendants(const html::Node* node,
                         std::vector<const html::Node*>* out) {
-  for (const auto& child : node->children()) {
-    out->push_back(child.get());
-    CollectDescendants(child.get(), out);
+  std::vector<const html::Node*> stack = {node};
+  while (!stack.empty()) {
+    const html::Node* next = stack.back();
+    stack.pop_back();
+    if (next != node) out->push_back(next);
+    const auto& children = next->children();
+    for (size_t i = children.size(); i > 0; --i) {
+      stack.push_back(children[i - 1].get());
+    }
   }
 }
 

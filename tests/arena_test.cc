@@ -1,7 +1,6 @@
 // Unit tests for the bump allocator behind the arena DOM: alignment,
 // string copies, the Reset() recycling contract (capacity retained and
-// consolidated), and the fresh-vs-reused byte accounting the serving
-// layer exports as arena_bytes_reused.
+// consolidated), and the fresh-vs-reused byte accounting.
 
 #include "common/arena.h"
 

@@ -1,7 +1,8 @@
 // End-to-end tests of the fetch→extract→emit crawl pipeline
 // (src/crawl/pipeline.cc, DESIGN.md §14) against generated origins:
 // byte-identity across worker counts and transports (file:// vs a live
-// in-process HTTP origin), frontier predicate pushdown (deny globs,
+// in-process HTTP origin) and against the interpreted oracle on both
+// repository backends, frontier predicate pushdown (deny globs,
 // depth, max-pages, dedup), robots.txt enforcement, 429 backoff with
 // retry, and the self-healing hand-off — a mid-corpus template mutation
 // that the crawl's drift detectors catch, re-induce, publish, and record
@@ -20,6 +21,7 @@
 
 #include "common/file_util.h"
 #include "common/thread_pool.h"
+#include "core/wrapper_pack.h"
 #include "crawl/pipeline.h"
 #include "gtest/gtest.h"
 #include "serve/server.h"
@@ -102,6 +104,46 @@ TEST_F(CrawlTest, ByteIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(Crawl(options, {IndexSeed()}), serial)
         << workers << " workers diverged from serial";
   }
+}
+
+TEST_F(CrawlTest, StreamingMatchesInterpreterOnBothBackends) {
+  // The oracle: one worker, interpreted extraction, directory backend.
+  CrawlOptions oracle_options;
+  oracle_options.max_depth = 1;
+  oracle_options.workers = 1;
+  oracle_options.fast_path = false;
+  std::string oracle = Crawl(oracle_options, {IndexSeed()});
+  ASSERT_FALSE(oracle.empty());
+
+  CrawlOptions options;
+  options.max_depth = 1;
+  options.workers = 4;
+  EXPECT_EQ(Crawl(options, {IndexSeed()}), oracle) << "directory backend";
+
+  // The same records served from a wrapper pack.
+  core::WrapperPackBuilder builder;
+  auto site_dirs = ListSubdirectories(root_ + "/repo");
+  ASSERT_TRUE(site_dirs.ok());
+  for (const std::string& site_dir : *site_dirs) {
+    auto files = ListFiles(site_dir, ".wrapper");
+    ASSERT_TRUE(files.ok());
+    for (const std::string& file : *files) {
+      std::filesystem::path path(file);
+      auto record = ReadFile(file);
+      ASSERT_TRUE(record.ok());
+      ASSERT_TRUE(builder
+                      .Add(path.parent_path().filename().string(),
+                           path.stem().string(), *record)
+                      .ok());
+    }
+  }
+  std::string pack = root_ + "/wrappers.pack";
+  ASSERT_TRUE(builder.WriteFile(pack).ok());
+  repository_ = std::make_unique<serve::WrapperRepository>(
+      serve::WrapperRepository::Options{std::string(), pack});
+  ASSERT_TRUE(repository_->Load().ok());
+  ASSERT_NE(repository_->snapshot()->pack, nullptr);
+  EXPECT_EQ(Crawl(options, {IndexSeed()}), oracle) << "pack backend";
 }
 
 TEST_F(CrawlTest, EmissionFollowsFrontierDispatchOrder) {

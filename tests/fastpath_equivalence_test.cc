@@ -4,9 +4,9 @@
 // kind (XPATH, LR, HLRT) on every page of a generated corpus — with the
 // streaming path joining the comparison for dom_free() plans (the no-DOM
 // stream matchers) and streamable() XPath plans (the fused tokenize→
-// plan-execute machine) — and at the service layer, ExtractService in
-// streaming, arena-DOM and interpreted configurations produces
-// byte-identical HTTP responses for /extract and /extract_batch.
+// plan-execute machine) — and at the service layer, ExtractService on
+// its streaming path and on the interpreter produces byte-identical HTTP
+// responses for /extract and /extract_batch.
 
 #include <unistd.h>
 
@@ -108,7 +108,7 @@ class FastPathEquivalenceTest : public ::testing::Test {
         // Every learned plan has a streaming form: LR/HLRT are
         // dom_free(), and every induced XPath program is streamable()
         // (≤63 steps); the fused executor must match byte for byte.
-        ASSERT_TRUE(compiled->dom_free() || compiled->streamable())
+        ASSERT_TRUE(compiled->has_streaming_form())
             << induction.wrapper->ToString();
         EXPECT_EQ(StreamingValues(*compiled, stream_buffer, source),
                   interpreted)
@@ -200,17 +200,12 @@ class ServiceEquivalenceTest : public ::testing::Test {
         std::make_unique<serve::WrapperRepository>(repo_dir_.string());
     ASSERT_TRUE(repository_->Load().ok());
     ASSERT_TRUE(repository_->snapshot()->errors.empty());
-    // Options{true} defaults streaming on, so fast_ routes LR/HLRT through
-    // the no-DOM path; dom_ pins them to the arena fast path instead.
     fast_ = std::make_unique<serve::ExtractService>(
-        repository_.get(), &ThreadPool::Global(),
-        serve::ExtractService::Options{true});
-    dom_ = std::make_unique<serve::ExtractService>(
-        repository_.get(), &ThreadPool::Global(),
-        serve::ExtractService::Options{true, 0, false});
+        repository_.get(), &ThreadPool::Global());
+    serve::ExtractService::Options interpreted;
+    interpreted.fast_path = false;
     interpreted_ = std::make_unique<serve::ExtractService>(
-        repository_.get(), &ThreadPool::Global(),
-        serve::ExtractService::Options{false});
+        repository_.get(), &ThreadPool::Global(), interpreted);
   }
 
   void TearDown() override {
@@ -221,13 +216,9 @@ class ServiceEquivalenceTest : public ::testing::Test {
   void ExpectSameResponse(const serve::HttpRequest& request) {
     serve::HttpResponse a = fast_->Handle(request);
     serve::HttpResponse b = interpreted_->Handle(request);
-    serve::HttpResponse c = dom_->Handle(request);
     EXPECT_EQ(a.status, b.status);
     EXPECT_EQ(a.content_type, b.content_type);
     EXPECT_EQ(a.body, b.body);
-    EXPECT_EQ(c.status, b.status);
-    EXPECT_EQ(c.content_type, b.content_type);
-    EXPECT_EQ(c.body, b.body);
   }
 
   std::filesystem::path repo_dir_;
@@ -235,7 +226,6 @@ class ServiceEquivalenceTest : public ::testing::Test {
   std::vector<std::string> sources_;
   std::unique_ptr<serve::WrapperRepository> repository_;
   std::unique_ptr<serve::ExtractService> fast_;
-  std::unique_ptr<serve::ExtractService> dom_;
   std::unique_ptr<serve::ExtractService> interpreted_;
 };
 

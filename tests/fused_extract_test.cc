@@ -1,15 +1,13 @@
 // Fused multi-attribute extraction tests (DESIGN.md §15). The contract
-// under test is byte-identity: the shared Aho–Corasick pass must yield
-// exactly the occurrence sets the per-attribute BMH scans enumerate, and
-// everything built on it — FusedSiteExtractor (in-memory and pack-blob
-// variants), the repository's FindFused on both backends, and the
-// service's `attribute=*` endpoint with the fused scan on or off — must
-// return the same bytes as the per-attribute path.
+// under test is byte-identity: FusedSiteExtractor (one StreamPage build
+// shared by every dom_free plan of a site), the repository's FindFused on
+// both backends — with a hot-published repair shadowing a pack entry —
+// and the service's `attribute=*` endpoint must return the same bytes as
+// per-attribute streaming and as the interpreted oracle.
 
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -18,7 +16,9 @@
 #include "common/thread_pool.h"
 #include "core/compiled_wrapper.h"
 #include "core/fused_matcher.h"
+#include "core/lr_inductor.h"
 #include "core/wrapper_pack.h"
+#include "core/wrapper_store.h"
 #include "gtest/gtest.h"
 #include "serve/http.h"
 #include "serve/service.h"
@@ -29,62 +29,6 @@ namespace ntw {
 namespace {
 
 constexpr char kSuffix[] = ".wrapper";
-
-std::vector<size_t> BmhOccurrences(const core::StringSearcher& searcher,
-                                   std::string_view haystack) {
-  std::vector<size_t> begins;
-  size_t from = 0;
-  while (true) {
-    size_t pos = searcher.Find(haystack, from);
-    if (pos == std::string_view::npos) break;
-    begins.push_back(pos);
-    from = pos + 1;  // Overlapping occurrences count.
-  }
-  return begins;
-}
-
-TEST(FusedAutomatonTest, ScanMatchesBmhOnRandomInputs) {
-  std::mt19937_64 rng(991);
-  const char alphabet[] = "abc<>/";  // Small: forces overlaps + shared
-                                     // prefixes through the trie.
-  for (int round = 0; round < 40; ++round) {
-    core::AcBuilder builder;
-    std::vector<std::string> patterns;
-    std::vector<uint32_t> ids;
-    size_t pattern_count = 1 + rng() % 12;
-    for (size_t p = 0; p < pattern_count; ++p) {
-      std::string pattern;
-      size_t len = 1 + rng() % 6;
-      for (size_t i = 0; i < len; ++i) {
-        pattern.push_back(alphabet[rng() % (sizeof(alphabet) - 1)]);
-      }
-      patterns.push_back(pattern);
-      ids.push_back(builder.AddPattern(pattern));
-    }
-    // Duplicates resolve to the same id; empties to kNoPattern.
-    EXPECT_EQ(builder.AddPattern(patterns[0]), ids[0]);
-    EXPECT_EQ(builder.AddPattern(""), core::kNoPattern);
-
-    std::string blob = builder.Build();
-    ASSERT_TRUE(core::FusedAutomaton::Validate(blob));
-    core::FusedAutomaton automaton(blob);
-
-    std::string haystack;
-    size_t hay_len = rng() % 2000;
-    for (size_t i = 0; i < hay_len; ++i) {
-      haystack.push_back(alphabet[rng() % (sizeof(alphabet) - 1)]);
-    }
-
-    std::vector<std::vector<size_t>> occurrences;
-    automaton.Scan(haystack, &occurrences);
-    ASSERT_EQ(occurrences.size(), automaton.pattern_count());
-    for (size_t p = 0; p < patterns.size(); ++p) {
-      core::StringSearcher searcher(patterns[p]);
-      EXPECT_EQ(occurrences[ids[p]], BmhOccurrences(searcher, haystack))
-          << "round " << round << " pattern '" << patterns[p] << "'";
-    }
-  }
-}
 
 // Plans covering the delimiter edge cases: LR with and without a left
 // delimiter, HLRT with head+tail, HLRT whose tail never occurs.
@@ -141,28 +85,6 @@ TEST(FusedSiteExtractorTest, MatchesPerAttributeStreaming) {
   ExpectFusedMatchesPerAttribute(*fused, plans, "");
   ExpectFusedMatchesPerAttribute(*fused, plans, "no delimiters at all");
   ExpectFusedMatchesPerAttribute(*fused, plans, "<b>unclosed");
-}
-
-TEST(FusedSiteExtractorTest, FromBlobMatchesBuild) {
-  auto plans = EdgeCasePlans();
-  auto built = core::FusedSiteExtractor::Build(plans);
-  ASSERT_NE(built, nullptr);
-
-  std::vector<core::FusedSiteExtractor::Attribute> attributes(
-      built->attributes());
-  auto from_blob =
-      core::FusedSiteExtractor::FromBlob(built->blob(), attributes);
-  ASSERT_NE(from_blob, nullptr);
-  EXPECT_EQ(from_blob->blob(), built->blob());
-  ExpectFusedMatchesPerAttribute(*from_blob, plans, kEdgeCasePage);
-
-  // Out-of-range pattern bindings and invalid blobs are rejected.
-  auto bad_binding = attributes;
-  bad_binding[0].left_pattern = 1000;
-  EXPECT_EQ(core::FusedSiteExtractor::FromBlob(built->blob(), bad_binding),
-            nullptr);
-  EXPECT_EQ(core::FusedSiteExtractor::FromBlob("garbage", attributes),
-            nullptr);
 }
 
 class FusedRepositoryTest : public ::testing::Test {
@@ -243,10 +165,7 @@ TEST_F(FusedRepositoryTest, PackFusedMatchesDirectoryFused) {
     ASSERT_EQ(from_dir == nullptr, from_pack == nullptr) << site;
     if (from_dir == nullptr) continue;
     ++fused_sites;
-    // Same attributes, same serialized automaton (the pack stores the
-    // bytes the in-memory builder produces).
     ASSERT_EQ(from_dir->attributes().size(), from_pack->attributes().size());
-    EXPECT_EQ(from_dir->blob(), from_pack->blob()) << site;
 
     std::string page = PageFor(*from_dir);
     core::StreamPageBuffer dir_buffer, pack_buffer;
@@ -274,12 +193,12 @@ TEST_F(FusedRepositoryTest, ServiceMultiAttributeByteIdentity) {
   ASSERT_TRUE(pack_repo.Load().ok());
   ThreadPool pool(2);
 
-  serve::ExtractService::Options fused_off;
-  fused_off.fused = false;
+  serve::ExtractService::Options interpreted;
+  interpreted.fast_path = false;
   serve::ExtractService dir_fused(&dir_repo, &pool);
-  serve::ExtractService dir_plain(&dir_repo, &pool, fused_off);
+  serve::ExtractService dir_oracle(&dir_repo, &pool, interpreted);
   serve::ExtractService pack_fused(&pack_repo, &pool);
-  serve::ExtractService pack_plain(&pack_repo, &pool, fused_off);
+  serve::ExtractService pack_oracle(&pack_repo, &pool, interpreted);
 
   for (int s = 0; s < 9; ++s) {
     std::string site = StrFormat("site_%06d", s);
@@ -295,10 +214,10 @@ TEST_F(FusedRepositoryTest, ServiceMultiAttributeByteIdentity) {
     request.query = {{"site", site}, {"attribute", "*"}};
     request.body = page;
 
-    serve::HttpResponse baseline = dir_plain.Handle(request);
+    serve::HttpResponse baseline = dir_oracle.Handle(request);
     ASSERT_EQ(baseline.status, 200) << site << ": " << baseline.body;
-    // Fused on/off and directory/pack backends: same bytes.
-    for (auto* service : {&dir_fused, &pack_fused, &pack_plain}) {
+    // Streaming and interpreted, directory and pack backends: same bytes.
+    for (auto* service : {&dir_fused, &pack_fused, &pack_oracle}) {
       serve::HttpResponse response = service->Handle(request);
       EXPECT_EQ(response.status, baseline.status) << site;
       EXPECT_EQ(response.body, baseline.body) << site;
@@ -312,6 +231,57 @@ TEST_F(FusedRepositoryTest, ServiceMultiAttributeByteIdentity) {
   missing.query = {{"site", "no_such_site"}, {"attribute", "*"}};
   missing.body = "<html></html>";
   EXPECT_EQ(dir_fused.Handle(missing).status, 404);
+}
+
+TEST_F(FusedRepositoryTest, PublishedRepairShadowsPackAttribute) {
+  // site_000000: attr_00 LR, attr_01 HLRT, attr_02 XPath (pack-only).
+  const std::string site = "site_000000";
+  serve::WrapperRepository repo(
+      serve::WrapperRepository::Options{std::string(), pack_});
+  ASSERT_TRUE(repo.Load().ok());
+  std::shared_ptr<const core::FusedSiteExtractor> before =
+      repo.Pin()->FindFused(site);
+  ASSERT_NE(before, nullptr);
+  ASSERT_EQ(before->attributes().size(), 2u);
+  // The repair's delimiters lead the page body; the pack's follow, so the
+  // incumbent LR plan would extract attr_00_0/attr_00_1 instead.
+  std::string page = PageFor(*before);
+  page.insert(std::string("<html><body>").size(), "<em>repaired</em>");
+
+  core::LrWrapper repair("<em>", "</em>");
+  auto record = core::SerializeWrapper(repair);
+  ASSERT_TRUE(record.ok());
+  auto wrapper = core::DeserializeWrapper(*record);
+  ASSERT_TRUE(wrapper.ok());
+  ASSERT_TRUE(repo.PublishWrapper(site, "attr_00", *wrapper).ok());
+
+  auto after = repo.Pin()->FindFused(site);
+  ASSERT_NE(after, nullptr);
+  ASSERT_EQ(after->attributes().size(), 2u);
+  EXPECT_EQ(after->attributes()[after->FindAttribute("attr_00")].plan->left(),
+            "<em>");
+
+  ThreadPool pool(2);
+  serve::ExtractService::Options interpreted;
+  interpreted.fast_path = false;
+  serve::ExtractService fused(&repo, &pool);
+  serve::ExtractService oracle(&repo, &pool, interpreted);
+  serve::HttpRequest request;
+  request.method = "POST";
+  request.path = "/extract";
+  request.query = {{"site", site}, {"attribute", "*"}};
+  request.body = page;
+  serve::HttpResponse expected = oracle.Handle(request);
+  serve::HttpResponse actual = fused.Handle(request);
+  ASSERT_EQ(expected.status, 200) << expected.body;
+  EXPECT_EQ(actual.status, expected.status);
+  EXPECT_EQ(actual.body, expected.body);
+  // The repair's values for its attribute, the pack's for the rest.
+  EXPECT_NE(actual.body.find("\"attr_00\":[\"repaired\"]"), std::string::npos)
+      << actual.body;
+  EXPECT_NE(actual.body.find("\"attr_01\":[\"attr_01_0\",\"attr_01_1\"]"),
+            std::string::npos)
+      << actual.body;
 }
 
 }  // namespace

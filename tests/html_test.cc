@@ -6,6 +6,8 @@
 #include "html/serializer.h"
 #include "html/tokenizer.h"
 #include "test_util.h"
+#include "xpath/evaluator.h"
+#include "xpath/parser.h"
 
 namespace ntw::html {
 namespace {
@@ -297,7 +299,8 @@ TEST(ParserTest, TextContentConcatenates) {
 
 TEST(ParserTest, MillionLevelNestingSurvivesTextContentAndTeardown) {
   // ~5 MB, under the serving default max_body_bytes: the heap DOM must
-  // neither recurse per level in TextContent nor in its destructor.
+  // not recurse per level in TextContent, its destructor, the
+  // interpreted XPath `//` step, Serialize or StructuralSignature.
   constexpr size_t kDepth = 1000000;
   std::string html = "<html><body>";
   html.reserve(html.size() + kDepth * 5 + 4);
@@ -311,6 +314,27 @@ TEST(ParserTest, MillionLevelNestingSurvivesTextContentAndTeardown) {
     ASSERT_EQ(doc->text_nodes().size(), 1u);
     EXPECT_EQ(doc->root()->TextContent(), "deep");
     EXPECT_EQ(doc->root()->child(0)->TextContent(), "deep");
+
+    Result<xpath::Expr> expr = xpath::ParseXPath("//text()");
+    ASSERT_TRUE(expr.ok());
+    std::vector<const Node*> texts = xpath::Evaluate(*expr, *doc);
+    ASSERT_EQ(texts.size(), 1u);
+    EXPECT_EQ(texts[0]->text(), "deep");
+
+    std::string serialized = Serialize(doc->root());
+    std::string divs_open;
+    std::string divs_close;
+    divs_open.reserve(kDepth * 5);
+    divs_close.reserve(kDepth * 6);
+    for (size_t i = 0; i < kDepth; ++i) {
+      divs_open += "<div>";
+      divs_close += "</div>";
+    }
+    EXPECT_EQ(serialized, "<html><body>" + divs_open + "deep" + divs_close +
+                              "</body></html>");
+    EXPECT_EQ(StructuralSignature(doc->root()),
+              "<html><body>" + divs_open + "#text " + divs_close +
+                  "</body></html>");
   }  // Destroys the million-level chain.
 }
 

@@ -1,7 +1,8 @@
 // Wrapper-pack tests (DESIGN.md §15): build→open roundtrip identity
 // against the directory backend, deterministic rebuilds, clean rejection
-// of truncated / bit-flipped / version-mismatched packs (no crash, no
-// out-of-bounds reads under ASan), the repository's directory fallback
+// of truncated / bit-flipped / version-mismatched packs and of NTWPACK1
+// files (no crash, no out-of-bounds reads under ASan), the repository's
+// directory fallback
 // when a pack is corrupt, lazy pack materialization, overlay publishes on
 // a pack backend, and incremental directory reloads that reuse unchanged
 // entries by pointer.
@@ -18,7 +19,6 @@
 #include "common/file_util.h"
 #include "common/strings.h"
 #include "core/compiled_wrapper.h"
-#include "core/fused_matcher.h"
 #include "core/lr_inductor.h"
 #include "core/wrapper.h"
 #include "core/wrapper_pack.h"
@@ -267,6 +267,52 @@ TEST_F(WrapperPackTest, OpenRejectsVersionMismatchEvenWhenResealed) {
   EXPECT_FALSE(pack.ok());
 }
 
+// The NTWPACK1 header: NTWPACK2's plus the offset and length of the
+// per-site automata section NTWPACK1 carried (120 bytes).
+struct PackHeaderV1 {
+  char magic[8];
+  uint32_t version;
+  uint32_t endian;
+  uint64_t file_size;
+  uint64_t header_checksum;
+  uint64_t body_checksum;
+  uint64_t site_count;
+  uint64_t entry_count;
+  uint64_t sites_off;
+  uint64_t entries_off;
+  uint64_t plans_off;
+  uint64_t plans_len;
+  uint64_t automata_off;
+  uint64_t automata_len;
+  uint64_t strtab_off;
+  uint64_t strtab_len;
+};
+static_assert(sizeof(PackHeaderV1) == 120, "NTWPACK1 on-disk layout");
+
+TEST_F(WrapperPackTest, OpenRejectsFormatV1PackEvenWhenSealed) {
+  // A well-formed, sealed NTWPACK1 file (no sites, empty sections): Open
+  // must refuse it by name rather than read it through the NTWPACK2
+  // layout.
+  PackHeaderV1 header{};
+  std::memcpy(header.magic, "NTWPACK1", sizeof(header.magic));
+  header.version = 1;
+  header.endian = core::kPackEndian;
+  header.file_size = sizeof(header);
+  header.sites_off = header.entries_off = header.plans_off =
+      header.automata_off = header.strtab_off = sizeof(header);
+  header.body_checksum = Fnv1a("", 0);
+  header.header_checksum = Fnv1a(&header, sizeof(header));
+  std::string v1_path = work_ + "/v1.pack";
+  ASSERT_TRUE(
+      WriteFile(v1_path, std::string(reinterpret_cast<const char*>(&header),
+                                     sizeof(header)))
+          .ok());
+  auto pack = core::WrapperPack::Open(v1_path);
+  ASSERT_FALSE(pack.ok());
+  EXPECT_NE(pack.status().ToString().find("NTWPACK1"), std::string::npos)
+      << pack.status().ToString();
+}
+
 TEST_F(WrapperPackTest, VerifyRejectsBodyCorruption) {
   std::string path = PackFromRepo(WriteRepo(4, 2));
   auto bytes = ReadFile(path);
@@ -312,12 +358,6 @@ TEST_F(WrapperPackTest, CorruptBodyNeverCrashesAccessors) {
       auto site = (*pack)->site(s);
       if (!site.has_value()) continue;
       (void)site->name();
-      std::string_view blob = site->automaton();
-      if (core::FusedAutomaton::Validate(blob)) {
-        core::FusedAutomaton automaton(blob);
-        std::vector<std::vector<size_t>> occurrences;
-        automaton.Scan("<span class=\"f1\">x</span><li>y</li>", &occurrences);
-      }
       for (size_t e = 0; e < site->entry_count(); ++e) {
         auto entry = site->entry(e);
         if (!entry.has_value()) continue;

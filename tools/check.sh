@@ -45,12 +45,6 @@ sh "$ROOT/tools/serve_smoke.sh" "$ROOT/build" 2 || {
   FAILED=1
 }
 
-echo "==> ntw_serve smoke (no streaming)"
-sh "$ROOT/tools/serve_smoke.sh" "$ROOT/build" 2 --no-streaming || {
-  echo "check.sh: ntw_serve --no-streaming smoke run FAILED" >&2
-  FAILED=1
-}
-
 echo "==> ntw_serve smoke (scalar scan)"
 NTW_NO_SIMD=1 sh "$ROOT/tools/serve_smoke.sh" "$ROOT/build" 2 || {
   echo "check.sh: ntw_serve NTW_NO_SIMD=1 smoke run FAILED" >&2
@@ -107,13 +101,6 @@ echo "==> ntw_loadgen smoke (equivalence gates + shard sweep)"
 "$ROOT/build/tools/ntw_loadgen" --smoke --shards 2 --sweep 1,2 \
     --out "$ROOT/build/BENCH_serve.json" || {
   echo "check.sh: ntw_loadgen smoke run FAILED" >&2
-  FAILED=1
-}
-
-echo "==> ntw_loadgen smoke (no streaming)"
-"$ROOT/build/tools/ntw_loadgen" --smoke --shards 2 --no-streaming \
-    --out "$ROOT/build/BENCH_serve_nostreaming.json" || {
-  echo "check.sh: ntw_loadgen --no-streaming smoke run FAILED" >&2
   FAILED=1
 }
 

@@ -26,8 +26,9 @@ trap '[ -n "$PID" ] && kill "$PID" 2>/dev/null; rm -rf "$WORK"' EXIT
 fail() { echo "crawl_smoke: $1" >&2; exit 1; }
 
 # An 8-site origin (the acceptance floor) with learned wrappers: every
-# site gets an XPATH wrapper (arena fast path) and an LR delimiter
-# wrapper (streaming no-DOM path), so one crawl exercises all tiers.
+# site gets an XPATH wrapper (fused streaming XPath executor) and an LR
+# delimiter wrapper (StreamPage + stream matchers), so one crawl
+# exercises both streaming plan kinds.
 "$ORIGIN_BIN" --out "$WORK/origin" --wrapper-dir "$WORK/repo" \
     --sites 8 --pages 5 2> "$WORK/origin.log" \
     || fail "ntw_origin failed: $(cat "$WORK/origin.log")"

@@ -7,16 +7,18 @@
 //             [--rps R] [--burst B] [--domain-parallelism N]
 //             [--no-robots] [--robots-ttl SECONDS]
 //             [--attribute NAME] [--site SITE] [--timing]
-//             [--no-fast-path] [--no-streaming] [--max-retries N]
+//             [--no-fast-path] [--max-retries N]
 //             [--timeout-ms N] [--self-heal] [--metrics-json FILE]
 //             [--quiet]
 //
 // Crawls from the seed URLs (file:// or http://) through the
 // deduplicating per-domain frontier, extracts every fetched page with
-// the wrapper repository's compiled/streaming tiers, and writes one
-// ntw-crawl-record NDJSON line per (page, attribute) to --out (default
-// stdout) in frontier dispatch order — byte-identical to offline
-// `ntw_extract --emit ndjson` over the same pages, at any --workers.
+// the wrapper repository's streaming path (the interpreter for plans
+// without a streaming form, or for all of them with --no-fast-path),
+// and writes one ntw-crawl-record NDJSON line per (page, attribute) to
+// --out (default stdout) in frontier dispatch order — byte-identical to
+// offline `ntw_extract --emit ndjson` over the same pages, at any
+// --workers.
 //
 // --self-heal turns on the same drift→re-induce→publish loop the daemon
 // runs: detectors observe every extraction, and a drifted (site,
@@ -47,7 +49,7 @@ constexpr char kUsage[] =
     "                 [--rps R] [--burst B] [--domain-parallelism N]\n"
     "                 [--no-robots] [--robots-ttl SECONDS]\n"
     "                 [--attribute NAME] [--site SITE] [--timing]\n"
-    "                 [--no-fast-path] [--no-streaming] [--max-retries N]\n"
+    "                 [--no-fast-path] [--max-retries N]\n"
     "                 [--timeout-ms N] [--self-heal]\n"
     "                 [--metrics-json FILE] [--quiet]\n";
 
@@ -71,7 +73,7 @@ int Run(int argc, char** argv) {
       {"wrapper-dir", "seeds", "out", "workers", "max-depth", "max-pages",
        "allow", "deny", "rps", "burst", "domain-parallelism", "no-robots",
        "robots-ttl", "attribute", "site", "timing", "no-fast-path",
-       "no-streaming", "max-retries", "timeout-ms", "self-heal",
+       "max-retries", "timeout-ms", "self-heal",
        "metrics-json", "quiet", "help"});
   if (!unknown.empty() || flags.Has("help")) {
     for (const std::string& name : unknown) {
@@ -138,7 +140,6 @@ int Run(int argc, char** argv) {
   options.fixed_site = flags.Get("site");
   options.timing = flags.Has("timing");
   options.fast_path = !flags.Has("no-fast-path");
-  options.streaming = !flags.Has("no-streaming");
   options.self_heal = flags.Has("self-heal");
 
   serve::WrapperRepository repository(wrapper_dir);

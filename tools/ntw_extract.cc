@@ -44,7 +44,6 @@
 #include "core/xpath_inductor.h"
 #include "crawl/record.h"
 #include "datasets/corpus_io.h"
-#include "html/arena_dom.h"
 #include "serve/wrapper_repository.h"
 
 namespace {
@@ -61,7 +60,7 @@ constexpr char kUsage[] =
     "                   [--p P] [--r R] [--schema-prior N]"
     " [--save-wrapper FILE] [--quiet]\n"
     "                   [--metrics-json PATH] [--trace PATH]"
-    " [--no-fast-path] [--no-streaming]\n"
+    " [--no-fast-path]\n"
     "                   [--emit tsv|ndjson] [--url-prefix P]\n";
 
 void PrintExtraction(const core::PageSet& pages,
@@ -86,7 +85,7 @@ int Run(int argc, char** argv) {
       {"pages", "dict", "regex", "load-wrapper", "wrapper-dir", "pack",
        "site", "attribute", "inductor", "algorithm", "p", "r", "schema-prior",
        "save-wrapper", "quiet", "help", "metrics-json", "trace",
-       "no-fast-path", "no-streaming", "emit", "url-prefix"});
+       "no-fast-path", "emit", "url-prefix"});
   if (!unknown.empty() || flags.Has("help")) {
     for (const std::string& name : unknown) {
       std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
@@ -178,45 +177,32 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "wrapper: %s\n",
                    entry->wrapper->ToString().c_str());
     }
-    // Compiled fast path, same output bytes as the interpreted path
-    // below; dom_free plans stream straight over the raw page bytes and
+    // Compiled streaming path, same output bytes as the interpreted path
+    // below: dom_free plans stream straight over the raw page bytes and
     // streamable XPath plans run fused off the tokenizer (no DOM either
-    // way) unless --no-streaming, others arena-parse.
-    // --no-fast-path forces the interpreter.
-    if (!flags.Has("no-fast-path") && entry->compiled != nullptr) {
+    // way). Other plans, and --no-fast-path, take the interpreter.
+    if (!flags.Has("no-fast-path") && entry->compiled != nullptr &&
+        entry->compiled->has_streaming_form()) {
       Result<std::vector<std::string>> sources =
           datasets::LoadPageSourcesFromDirectory(pages_dir);
       if (!sources.ok()) {
         std::fprintf(stderr, "%s\n", sources.status().ToString().c_str());
         return 1;
       }
-      bool streaming =
-          !flags.Has("no-streaming") &&
-          (entry->compiled->dom_free() || entry->compiled->streamable());
-      core::FastPageBuffer buffer;
-      core::StreamPageBuffer stream_buffer;
+      core::StreamPageBuffer buffer;
       std::string value;
       obs::Span span("extract.apply");
       for (size_t i = 0; i < sources->size(); ++i) {
-        const std::vector<std::string_view>* values;
-        if (streaming) {
-          stream_buffer.Clear();
-          entry->compiled->ExtractStreaming((*sources)[i], stream_buffer,
-                                            &stream_buffer.values);
-          values = &stream_buffer.values;
-        } else {
-          buffer.Clear();
-          html::ArenaParse((*sources)[i], &buffer.doc);
-          entry->compiled->Extract(buffer, &buffer.values);
-          values = &buffer.values;
-        }
+        buffer.Clear();
+        entry->compiled->ExtractStreaming((*sources)[i], buffer,
+                                          &buffer.values);
         if (ndjson) {
           std::string line;
-          crawl::AppendRecordLine(site, page_urls[i], attribute, *values,
-                                  crawl::RecordTiming{}, &line);
+          crawl::AppendRecordLine(site, page_urls[i], attribute,
+                                  buffer.values, crawl::RecordTiming{}, &line);
           std::fwrite(line.data(), 1, line.size(), stdout);
         } else {
-          for (std::string_view v : *values) {
+          for (std::string_view v : buffer.values) {
             value.assign(v);
             std::printf("%d\t%s\n", static_cast<int>(i), value.c_str());
           }

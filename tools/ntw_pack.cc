@@ -6,19 +6,19 @@
 //   ntw_pack verify PACK
 //
 // `build` walks a `<root>/<site>/<attribute>.wrapper` repository tree and
-// serializes it into one memory-mappable pack file: interned strings,
-// fixed-layout compiled plans, sorted per-site directory, and one fused
-// multi-pattern delimiter automaton per site. The output is a pure
-// function of the (site, attribute, record) set — rebuilding from the
-// same tree is bit-identical, which `verify` exploits.
+// serializes it into one memory-mappable NTWPACK2 file: interned
+// strings, fixed-layout compiled plans and a sorted per-site directory.
+// The output is a pure function of the (site, attribute, record) set —
+// rebuilding from the same tree is bit-identical, which `verify`
+// exploits.
 //
 // `inspect` prints a JSON summary of the header (and one site's entries
 // with --site) without touching more pages than asked for.
 //
 // `verify` runs the full offline check: body checksum, directory
 // sortedness and bounds, every record parsed, every plan blob decoded and
-// cross-checked against its record, every automaton validated — the
-// integrity gate CI runs after every build.
+// cross-checked against its record — the integrity gate CI runs after
+// every build.
 
 #include <cstdio>
 #include <filesystem>
@@ -112,14 +112,13 @@ int Inspect(const Flags& flags, const std::string& path) {
   }
   const core::PackHeader& header = (*pack)->header();
   obs::JsonWriter json;
-  BeginSchemaDocument(json, "ntw-pack-inspect", 2);
+  BeginSchemaDocument(json, "ntw-pack-inspect", 3);
   json.KV("path", path);
   json.KV("pack_version", static_cast<int64_t>(header.version));
   json.KV("file_size", static_cast<int64_t>(header.file_size));
   json.KV("sites", static_cast<int64_t>(header.site_count));
   json.KV("entries", static_cast<int64_t>(header.entry_count));
   json.KV("plans_bytes", static_cast<int64_t>(header.plans_len));
-  json.KV("automata_bytes", static_cast<int64_t>(header.automata_len));
   json.KV("strtab_bytes", static_cast<int64_t>(header.strtab_len));
   // Per-section byte breakdown: where a compression pass would pay. The
   // directories are fixed-width records, so their sizes follow from the
@@ -132,7 +131,6 @@ int Inspect(const Flags& flags, const std::string& path) {
         header.entry_count * sizeof(core::PackEntryRec));
     int64_t accounted = header_bytes + site_dir_bytes + entry_dir_bytes +
                         static_cast<int64_t>(header.plans_len) +
-                        static_cast<int64_t>(header.automata_len) +
                         static_cast<int64_t>(header.strtab_len);
     int64_t other = static_cast<int64_t>(header.file_size) - accounted;
     double scale =
@@ -149,7 +147,6 @@ int Inspect(const Flags& flags, const std::string& path) {
           Section{"site_directory", site_dir_bytes},
           Section{"entry_directory", entry_dir_bytes},
           Section{"plans", static_cast<int64_t>(header.plans_len)},
-          Section{"automata", static_cast<int64_t>(header.automata_len)},
           Section{"string_table", static_cast<int64_t>(header.strtab_len)},
           Section{"other", other}}) {
       json.Key(section.name);
@@ -169,8 +166,6 @@ int Inspect(const Flags& flags, const std::string& path) {
       return 1;
     }
     json.KV("site", name);
-    json.KV("automaton_bytes",
-            static_cast<int64_t>(site->automaton().size()));
     json.Key("site_entries");
     json.BeginArray();
     for (size_t i = 0; i < site->entry_count(); ++i) {

@@ -10,7 +10,7 @@
 //             [--read-timeout-ms N] [--write-timeout-ms N]
 //             [--drain-grace-ms N] [--reload-poll-ms N]
 //             [--metrics-json PATH] [--trace PATH]
-//             [--no-fast-path] [--no-streaming] [--no-fused] [--quiet]
+//             [--no-fast-path] [--quiet]
 //             [--no-self-heal] [--drift-warmup N] [--drift-window N]
 //             [--drift-empty-streak N] [--drift-hysteresis N]
 //             [--drift-cooldown N] [--drift-retain K]
@@ -38,8 +38,8 @@
 //
 // Endpoints (see DESIGN.md §8):
 //   POST /extract?site=S&attribute=A        body = one HTML page
-//     (attribute=* extracts every attribute of the site; with --pack the
-//      site's fused automaton scans the page once — --no-fused disables)
+//     (attribute=* extracts every attribute of the site, flattening the
+//      page once for all of its delimiter plans)
 //   POST /extract_batch?site=S&attribute=A  body = NDJSON {"id","html"}
 //   GET  /metrics                           obs registry dump
 //   GET  /healthz
@@ -77,8 +77,8 @@ constexpr char kUsage[] =
     "                 [--max-inflight N] [--read-timeout-ms N]\n"
     "                 [--write-timeout-ms N] [--drain-grace-ms N]\n"
     "                 [--reload-poll-ms N] [--metrics-json PATH]\n"
-    "                 [--trace PATH] [--no-fast-path] [--no-streaming]\n"
-    "                 [--no-fused] [--quiet] [--no-self-heal]"
+    "                 [--trace PATH] [--no-fast-path] [--quiet]\n"
+    "                 [--no-self-heal]"
     " [--drift-warmup N]\n"
     "                 [--drift-window N] [--drift-empty-streak N]\n"
     "                 [--drift-hysteresis N] [--drift-cooldown N]\n"
@@ -107,7 +107,7 @@ int Run(int argc, char** argv) {
       {"wrapper-dir", "pack", "host", "port", "port-file", "shards",
        "threads", "max-body-bytes", "max-inflight", "read-timeout-ms",
        "write-timeout-ms", "drain-grace-ms", "reload-poll-ms",
-       "metrics-json", "trace", "no-fast-path", "no-streaming", "no-fused",
+       "metrics-json", "trace", "no-fast-path",
        "quiet",
        "no-self-heal", "drift-warmup", "drift-window", "drift-empty-streak",
        "drift-hysteresis", "drift-cooldown", "drift-retain",
@@ -241,14 +241,10 @@ int Run(int argc, char** argv) {
     }
   }
 
-  // --no-fast-path keeps the interpreted Wrapper::Extract path alive for
-  // A/B benchmarking and as the byte-identity cross-check baseline;
-  // --no-streaming pins dom_free plans and streamable XPath plans to the
-  // arena fast path instead of the streaming no-DOM paths (DESIGN.md
-  // §12).
+  // --no-fast-path sends every request to the interpreted
+  // Wrapper::Extract path, the byte-identity oracle of the streaming
+  // path (DESIGN.md §12), for A/B benchmarking and cross-checks.
   bool fast_path = !flags.Has("no-fast-path");
-  bool streaming = !flags.Has("no-streaming");
-  bool fused = !flags.Has("no-fused");
   // The re-induction worker: one shared queue behind every shard's
   // detector hand-offs. Constructed (and started) only when self-healing
   // is on, so --no-self-heal spawns no extra threads.
@@ -258,7 +254,7 @@ int Run(int argc, char** argv) {
                                                         reinduce_options);
     reinducer->Start();
   }
-  // One ExtractService per shard: a shard-private FastBufferPool and
+  // One ExtractService per shard: shard-private buffer pools and
   // per-shard metric stripes; the repository is shared (epoch-pinned
   // reads). The factory runs once per shard inside Bind().
   std::vector<std::unique_ptr<serve::ExtractService>> services;
@@ -266,12 +262,9 @@ int Run(int argc, char** argv) {
   serve::HttpServer server(
       options,
       serve::HttpServer::HandlerFactory(
-          [&repository, &services, fast_path, streaming, fused,
-           reinducer_ptr](int shard) {
+          [&repository, &services, fast_path, reinducer_ptr](int shard) {
             serve::ExtractService::Options service_options;
             service_options.fast_path = fast_path;
-            service_options.streaming = streaming;
-            service_options.fused = fused;
             service_options.shard = shard;
             service_options.self_heal = reinducer_ptr != nullptr;
             services.push_back(std::make_unique<serve::ExtractService>(
