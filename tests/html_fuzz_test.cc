@@ -14,50 +14,10 @@
 namespace ntw::html {
 namespace {
 
-// Random tag soup: a mix of (possibly unbalanced) tags, attributes, text,
-// entities, comments and stray metacharacters.
-std::string RandomSoup(Rng* rng, size_t pieces) {
-  static const char* kTags[] = {"div", "td",   "tr", "table", "u",
-                                "b",   "li",   "ul", "span",  "br",
-                                "p",   "html", "a",  "script"};
-  static const char* kText[] = {"PORTER", "38652", "a < b", "x & y",
-                                "&amp;",  "&#65;", "<",     "plain text",
-                                "\"q\"",  "'s'"};
-  std::string out;
-  for (size_t i = 0; i < pieces; ++i) {
-    switch (rng->NextBounded(7)) {
-      case 0:
-        out += "<" + std::string(kTags[rng->NextBounded(14)]) + ">";
-        break;
-      case 1:
-        out += "</" + std::string(kTags[rng->NextBounded(14)]) + ">";
-        break;
-      case 2:
-        out += "<" + std::string(kTags[rng->NextBounded(14)]) +
-               " class='c" + std::to_string(rng->NextBounded(5)) + "' data=" +
-               std::to_string(rng->NextBounded(100)) + ">";
-        break;
-      case 3:
-        out += kText[rng->NextBounded(10)];
-        break;
-      case 4:
-        out += "<!-- comment " + std::to_string(rng->NextBounded(10)) +
-               " -->";
-        break;
-      case 5:
-        out += "<";  // Stray metacharacter.
-        break;
-      default:
-        out.push_back(static_cast<char>(rng->NextBounded(94) + 32));
-    }
-  }
-  return out;
-}
-
 TEST(HtmlFuzzTest, ParserNeverChokesOnTagSoup) {
   Rng rng(2024);
   for (int trial = 0; trial < 300; ++trial) {
-    std::string soup = RandomSoup(&rng, 1 + rng.NextBounded(60));
+    std::string soup = testing::RandomSoup(&rng, 1 + rng.NextBounded(60));
     Result<Document> doc = Parse(soup);
     ASSERT_TRUE(doc.ok()) << soup;
     // The document is well-formed: every node resolvable, text nodes
@@ -88,7 +48,7 @@ TEST(HtmlFuzzTest, SerializeParseReachesFixpoint) {
   // second iteration: parse(serialize(parse(x))) serializes identically.
   Rng rng(2026);
   for (int trial = 0; trial < 150; ++trial) {
-    std::string soup = RandomSoup(&rng, 1 + rng.NextBounded(50));
+    std::string soup = testing::RandomSoup(&rng, 1 + rng.NextBounded(50));
     Document first = std::move(Parse(soup)).value();
     std::string once = Serialize(first.root());
     Document second = std::move(Parse(once)).value();
@@ -102,7 +62,7 @@ TEST(HtmlFuzzTest, SecondParseIsStructurallyStable) {
   // dropped comments; from the second parse on, structure is canonical.
   Rng rng(2027);
   for (int trial = 0; trial < 100; ++trial) {
-    std::string soup = RandomSoup(&rng, 1 + rng.NextBounded(40));
+    std::string soup = testing::RandomSoup(&rng, 1 + rng.NextBounded(40));
     Document first = std::move(Parse(soup)).value();
     Document second = std::move(Parse(Serialize(first.root()))).value();
     Document third = std::move(Parse(Serialize(second.root()))).value();

@@ -81,4 +81,42 @@ std::vector<core::NodeRef> FindText(const core::PageSet& pages,
   return out;
 }
 
+std::string RandomSoup(Rng* rng, size_t pieces) {
+  static const char* kTags[] = {"div", "td",   "tr", "table", "u",
+                                "b",   "li",   "ul", "span",  "br",
+                                "p",   "html", "a",  "script"};
+  static const char* kText[] = {"PORTER", "38652", "a < b", "x & y",
+                                "&amp;",  "&#65;", "<",     "plain text",
+                                "\"q\"",  "'s'"};
+  std::string out;
+  for (size_t i = 0; i < pieces; ++i) {
+    switch (rng->NextBounded(7)) {
+      case 0:
+        out += "<" + std::string(kTags[rng->NextBounded(14)]) + ">";
+        break;
+      case 1:
+        out += "</" + std::string(kTags[rng->NextBounded(14)]) + ">";
+        break;
+      case 2:
+        out += "<" + std::string(kTags[rng->NextBounded(14)]) +
+               " class='c" + std::to_string(rng->NextBounded(5)) + "' data=" +
+               std::to_string(rng->NextBounded(100)) + ">";
+        break;
+      case 3:
+        out += kText[rng->NextBounded(10)];
+        break;
+      case 4:
+        out += "<!-- comment " + std::to_string(rng->NextBounded(10)) +
+               " -->";
+        break;
+      case 5:
+        out += "<";  // Stray metacharacter.
+        break;
+      default:
+        out.push_back(static_cast<char>(rng->NextBounded(94) + 32));
+    }
+  }
+  return out;
+}
+
 }  // namespace ntw::testing

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/label.h"
 #include "html/parser.h"
 
@@ -32,6 +33,10 @@ std::string TextOf(const core::PageSet& pages, const core::NodeRef& ref);
 /// Refs of all text nodes whose text equals `text`.
 std::vector<core::NodeRef> FindText(const core::PageSet& pages,
                                     const std::string& text);
+
+/// Random tag soup of `pieces` pieces: a mix of (possibly unbalanced)
+/// tags, attributes, text, entities, comments and stray metacharacters.
+std::string RandomSoup(Rng* rng, size_t pieces);
 
 }  // namespace ntw::testing
 
