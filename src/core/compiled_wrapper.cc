@@ -1,7 +1,6 @@
 #include "core/compiled_wrapper.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstring>
 
@@ -10,7 +9,7 @@
 #include "core/lr_inductor.h"
 #include "core/xpath_inductor.h"
 #include "html/dom.h"
-#include "html/parse_rules.h"
+#include "html/recovery.h"
 #include "xpath/ast.h"
 
 namespace ntw::core {
@@ -313,11 +312,10 @@ void CompiledWrapper::ExtractXPath(
   }
 }
 
-// The fused streaming XPath executor: an NFA-style bitset machine run
-// directly against the tokenizer event stream, mirroring ExtractXPath's
-// step semantics and ArenaTreeBuilder's event handling (implied end tags,
-// nearest-match closes with the table boundary, void/self-closing
-// elements, whitespace-only text skipping) without materializing a node.
+// The streaming XPath executor: an NFA-style bitset machine run as a
+// visitor of html::WalkTagSoup, mirroring ExtractXPath's step semantics on
+// the same recovered tree the DOM builders see, without materializing a
+// node.
 //
 // Per open element, `match` bit j says "this node matches the first j
 // steps" (bit 0 belongs to the document root alone) and `anc` is the
@@ -332,211 +330,130 @@ void CompiledWrapper::ExtractXPath(
 // Accepted elements extract the empty string (as on the DOM path); an
 // accepted text node is the only thing ever copied: its collapsed bytes
 // go into the capture buffer via the same AppendCollapsedText the
-// StreamPage tiers splice with. Values materialize after the scan so
+// StreamPage tiers splice with. Values materialize after the walk so
 // capture reallocation cannot dangle the views.
 namespace {
 
-/// Interned-id mirror of IsVoidElementTag and the CloseImpliedBy "open"
-/// set: the fused executor classifies each tag once by id instead of
-/// re-running the byte-comparison rule functions per event. Ids are
-/// global-NameTable stable, so this is built once per process.
-struct StreamTagIds {
-  std::array<int32_t, 14> voids;
-  std::array<int32_t, 11> may_imply;
-
-  bool IsVoid(int32_t id) const {
-    for (int32_t v : voids) {
-      if (v == id) return true;
-    }
-    return false;
-  }
-  bool MayImplyClose(int32_t id) const {
-    for (int32_t v : may_imply) {
-      if (v == id) return true;
-    }
-    return false;
-  }
-
-  static const StreamTagIds& Get() {
-    static const StreamTagIds ids = [] {
-      html::NameTable& names = html::NameTable::Global();
-      auto id = [&](std::string_view tag) { return names.Intern(tag).id; };
-      StreamTagIds t;
-      t.voids = {id("area"), id("base"), id("br"), id("col"), id("embed"),
-                 id("hr"), id("img"), id("input"), id("link"), id("meta"),
-                 id("param"), id("source"), id("track"), id("wbr")};
-      t.may_imply = {id("li"), id("option"), id("p"), id("td"), id("th"),
-                     id("tr"), id("thead"), id("tbody"), id("tfoot"),
-                     id("dt"), id("dd")};
-      return t;
-    }();
-    return ids;
-  }
-};
+// Extent of an accepted element: its value is the empty string.
+constexpr size_t kElement = std::string_view::npos;
 
 }  // namespace
 
 void CompiledWrapper::ExtractXPathStreaming(
     std::string_view raw_page, StreamPageBuffer& buffer,
     std::vector<std::string_view>* values) const {
-  std::vector<StreamXPathFrame>& frames = buffer.xframes_;
-  std::string& capture = buffer.xcapture_;
-  std::vector<std::pair<size_t, size_t>>& extents = buffer.xextents_;
-  capture.clear();
-  extents.clear();
+  struct Executor {
+    const CompiledWrapper& plan;
+    std::vector<StreamXPathFrame>& frames;
+    std::string& capture;
+    std::vector<std::pair<size_t, size_t>>& extents;
+    const uint64_t accept = uint64_t{1} << plan.steps_.size();
+    const StepOp& last = plan.steps_.back();
+    const size_t last_bit = plan.steps_.size() - 1;
+    size_t depth = 0;
 
-  const StreamTagIds& tag_ids = StreamTagIds::Get();
-  size_t depth = 0;
-  auto push_frame = [&](std::string_view tag, int32_t tag_id, uint64_t match,
-                        uint64_t anc, bool may_imply_close) {
-    if (frames.size() <= depth) frames.emplace_back();
-    StreamXPathFrame& f = frames[depth++];
-    f.tag = tag;
-    f.tag_id = tag_id;
-    f.match = match;
-    f.anc = anc;
-    f.children = 0;
-    f.may_imply_close = may_imply_close;
-    f.tag_counts.clear();
-  };
-  push_frame(std::string_view(), -1, uint64_t{1}, 0, false);  // Doc root.
-
-  const uint64_t accept = uint64_t{1} << steps_.size();
-  const StepOp& last = steps_.back();
-  const size_t last_bit = steps_.size() - 1;
-  constexpr size_t kElement = std::string_view::npos;
-  html::NameTable& names = html::NameTable::Global();
-  html::Token& token = buffer.xtoken_;
-  html::Tokenizer tokenizer(raw_page);
-
-  while (tokenizer.Next(&token)) {
-    switch (token.kind) {
-      case html::TokenKind::kText: {
-        // Whitespace-only text is skipped before any counter moves
-        // (skip_whitespace_text), so test cheaply on the raw bytes.
-        bool all_space = true;
-        for (char c : token.data) {
-          if (!IsAsciiSpace(c)) {
-            all_space = false;
-            break;
-          }
-        }
-        if (all_space) break;
-        StreamXPathFrame& parent = frames[depth - 1];
-        int32_t sibling_index = parent.children++;
-        // Text has no children, so a text node matching any step short
-        // of the last is inert — only the final step can emit here.
-        if (!last.is_text) break;
-        uint64_t avail =
-            last.descendant ? (parent.match | parent.anc) : parent.match;
-        if (((avail >> last_bit) & 1) == 0) break;
-        // FindAttr on a text node is null: any attr filter fails it; a
-        // positional filter counts all siblings (sibling_index, 1-based).
-        if (!last.attr_filters.empty()) break;
-        if (last.child_number >= 0 && sibling_index + 1 != last.child_number) {
-          break;
-        }
-        size_t begin = capture.size();
-        html::AppendCollapsedText(token.data, &capture);
-        extents.emplace_back(begin, capture.size());
-        break;
-      }
-      case html::TokenKind::kStartTag: {
-        // Implied end tags — the builder's loop, popping frames instead
-        // of closing nodes. may_imply_close subsumes the IsScopeBoundary
-        // break: boundary tags never imply-close.
-        while (depth > 1 && frames[depth - 1].may_imply_close &&
-               html::CloseImpliedBy(frames[depth - 1].tag, token.data)) {
-          --depth;
-        }
-        html::NameTable::Interned tag = names.Intern(token.data);
-        StreamXPathFrame& parent = frames[depth - 1];
-        int32_t sibling_index = parent.children++;
-        // Same-tag child number among element siblings (XPath tag[k]) —
-        // maintained only for tags a tag[k] step names; nothing else
-        // ever reads the count.
-        int32_t same_tag = 0;
-        for (int32_t tracked : positional_tag_ids_) {
-          if (tracked != tag.id) continue;
-          for (auto& [tid, c] : parent.tag_counts) {
-            if (tid == tag.id) {
-              same_tag = ++c;
-              break;
-            }
-          }
-          if (same_tag == 0) {
-            parent.tag_counts.emplace_back(tag.id, 1);
-            same_tag = 1;
-          }
-          break;
-        }
-        uint64_t match = 0;
-        uint64_t cand = (parent.match & child_steps_) |
-                        ((parent.match | parent.anc) & desc_steps_);
-        while (cand != 0) {
-          size_t j = static_cast<size_t>(std::countr_zero(cand));
-          cand &= cand - 1;
-          const StepOp& step = steps_[j];
-          if (step.is_text) continue;
-          if (!step.any_element && step.tag_id != tag.id) continue;
-          if (step.child_number >= 0) {
-            int32_t number =
-                step.any_element ? sibling_index + 1 : same_tag;
-            if (number != step.child_number) continue;
-          }
-          bool ok = true;
-          for (const StepOp::AttrFilter& f : step.attr_filters) {
-            // Duplicate attribute names keep the last value (SetAttr
-            // overwrites in place), so the backward scan's first hit is
-            // the effective one; the tokenizer already lowercased the
-            // names, so this is a raw byte compare — no interning.
-            const std::string* effective = nullptr;
-            for (size_t a = token.attrs.size(); a > 0; --a) {
-              if (token.attrs[a - 1].first == f.name) {
-                effective = &token.attrs[a - 1].second;
-                break;
-              }
-            }
-            if (effective == nullptr || *effective != f.value) {
-              ok = false;
-              break;
-            }
-          }
-          if (!ok) continue;
-          match |= uint64_t{1} << (j + 1);
-        }
-        if ((match & accept) != 0) extents.emplace_back(kElement, kElement);
-        if (tag_ids.IsVoid(tag.id) || token.self_closing) break;
-        // push_frame may grow `frames`, invalidating `parent` — read the
-        // inherited bits out first.
-        uint64_t parent_match = parent.match;
-        uint64_t parent_anc = parent.anc;
-        push_frame(tag.name, tag.id, match, parent_match | parent_anc,
-                   tag_ids.MayImplyClose(tag.id));
-        break;
-      }
-      case html::TokenKind::kEndTag: {
-        // Nearest matching open element closes everything above it; a
-        // stray end tag never crosses a table boundary (and an entirely
-        // unmatched one is dropped).
-        for (size_t i = depth; i > 1; --i) {
-          if (frames[i - 1].tag == token.data) {
-            depth = i - 1;
-            break;
-          }
-          if (frames[i - 1].tag == "table" && token.data != "table") break;
-        }
-        break;
-      }
-      case html::TokenKind::kComment:
-      case html::TokenKind::kDoctype:
-        break;  // Dropped, as the tidy pipeline does.
+    void Push(uint64_t match, uint64_t anc) {
+      if (frames.size() <= depth) frames.emplace_back();
+      StreamXPathFrame& f = frames[depth++];
+      f.match = match;
+      f.anc = anc;
+      f.children = 0;
+      f.tag_counts.clear();
     }
-  }
 
-  values->reserve(values->size() + extents.size());
-  std::string_view cap(capture);
-  for (const auto& [begin, end] : extents) {
+    void OnText(std::string_view text) {
+      StreamXPathFrame& parent = frames[depth - 1];
+      int32_t sibling_index = parent.children++;
+      // Text has no children, so a text node matching any step short of
+      // the last is inert — only the final step can emit here.
+      if (!last.is_text) return;
+      uint64_t avail =
+          last.descendant ? (parent.match | parent.anc) : parent.match;
+      if (((avail >> last_bit) & 1) == 0) return;
+      // FindAttr on a text node is null: any attr filter fails it; a
+      // positional filter counts all siblings (sibling_index, 1-based).
+      if (!last.attr_filters.empty()) return;
+      if (last.child_number >= 0 && sibling_index + 1 != last.child_number) {
+        return;
+      }
+      size_t begin = capture.size();
+      html::AppendCollapsedText(text, &capture);
+      extents.emplace_back(begin, capture.size());
+    }
+
+    void OnOpen(const html::Token& token, const html::StartTag& tag) {
+      StreamXPathFrame& parent = frames[depth - 1];
+      int32_t sibling_index = parent.children++;
+      // Same-tag child number among element siblings (XPath tag[k]) —
+      // maintained only for tags a tag[k] step names; nothing else ever
+      // reads the count.
+      int32_t same_tag = 0;
+      for (int32_t tracked : plan.positional_tag_ids_) {
+        if (tracked != tag.id) continue;
+        for (auto& [tid, c] : parent.tag_counts) {
+          if (tid == tag.id) {
+            same_tag = ++c;
+            break;
+          }
+        }
+        if (same_tag == 0) {
+          parent.tag_counts.emplace_back(tag.id, 1);
+          same_tag = 1;
+        }
+        break;
+      }
+      uint64_t match = 0;
+      uint64_t cand = (parent.match & plan.child_steps_) |
+                      ((parent.match | parent.anc) & plan.desc_steps_);
+      while (cand != 0) {
+        size_t j = static_cast<size_t>(std::countr_zero(cand));
+        cand &= cand - 1;
+        const StepOp& step = plan.steps_[j];
+        if (step.is_text) continue;
+        if (!step.any_element && step.tag_id != tag.id) continue;
+        if (step.child_number >= 0) {
+          int32_t number = step.any_element ? sibling_index + 1 : same_tag;
+          if (number != step.child_number) continue;
+        }
+        bool ok = true;
+        for (const StepOp::AttrFilter& f : step.attr_filters) {
+          // Duplicate attribute names keep the last value (SetAttr
+          // overwrites in place), so the backward scan's first hit is
+          // the effective one; the tokenizer already lowercased the
+          // names, so this is a raw byte compare — no interning.
+          const std::string* effective = nullptr;
+          for (size_t a = token.attrs.size(); a > 0; --a) {
+            if (token.attrs[a - 1].first == f.name) {
+              effective = &token.attrs[a - 1].second;
+              break;
+            }
+          }
+          if (effective == nullptr || *effective != f.value) {
+            ok = false;
+            break;
+          }
+        }
+        if (!ok) continue;
+        match |= uint64_t{1} << (j + 1);
+      }
+      if ((match & accept) != 0) extents.emplace_back(kElement, kElement);
+      // Push may grow `frames`; `parent` is read before it does.
+      if (!tag.is_void) Push(match, parent.match | parent.anc);
+    }
+
+    void OnClose(std::string_view) { --depth; }
+  };
+
+  buffer.xcapture_.clear();
+  buffer.xextents_.clear();
+  Executor executor{*this, buffer.xframes_, buffer.xcapture_,
+                    buffer.xextents_};
+  executor.Push(uint64_t{1}, 0);  // Document root.
+  html::WalkTagSoup(raw_page, buffer.xrecovery_, executor);
+
+  values->reserve(values->size() + buffer.xextents_.size());
+  std::string_view cap(buffer.xcapture_);
+  for (const auto& [begin, end] : buffer.xextents_) {
     values->push_back(begin == kElement ? std::string_view()
                                         : cap.substr(begin, end - begin));
   }

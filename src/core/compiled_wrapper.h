@@ -60,23 +60,15 @@ class FastPageBuffer {
   uint32_t epoch_ = 0;
 };
 
-/// One open element's state in the fused streaming-XPath executor
+/// One open element's state in the streaming XPath executor
 /// (CompiledWrapper::ExtractStreaming on streamable() plans): the
 /// per-step match bitsets plus the child counters the arena tree builder
 /// would keep on its frames. Pooled by depth inside StreamPageBuffer so
 /// the tag_counts vectors keep capacity across pages.
 struct StreamXPathFrame {
-  std::string_view tag;  // Interned — process-stable across the build.
-  int32_t tag_id = -1;
   uint64_t match = 0;    // Bit j: this node matches the first j steps.
   uint64_t anc = 0;      // Union of every ancestor's match bits.
   int32_t children = 0;  // Child nodes appended so far (0-based index).
-  // CloseImpliedBy(tag, ·) can return true for some incoming tag —
-  // cached at push so the per-start-tag implied-close probe is one bool
-  // instead of the parse_rules string comparisons. (Scope boundaries are
-  // never implied-closable, so this also covers the IsScopeBoundary
-  // break in the builders' loops.)
-  bool may_imply_close = false;
   // (tag_id, count) for element children seen so far — same_tag_child_
   // number bookkeeping, linear scan as in ArenaTreeBuilder::Frame.
   std::vector<std::pair<int32_t, int32_t>> tag_counts;
@@ -107,7 +99,7 @@ class StreamPageBuffer {
   friend class CompiledWrapper;
 
   std::vector<StreamXPathFrame> xframes_;  // Open-element stack, pooled.
-  html::Token xtoken_;                     // Tokenizer slot.
+  html::RecoveryScratch xrecovery_;        // The walk's token and stack.
   std::string xcapture_;                   // Matched text, collapsed.
   // Result extents into xcapture_ in document order; npos marks an
   // element match (its value is the empty string, as on the DOM path).
@@ -189,12 +181,12 @@ using StreamBufferPool = BufferPool<StreamPageBuffer>;
 ///
 /// XPath plans are not dom_free(), but almost all of them are
 /// streamable(): the step program can run as a bitset NFA directly
-/// against the tokenizer event stream — an explicit open-tag depth stack
-/// carrying per-step match frames, interned-id tag/attr comparison
-/// through the intern front cache, positional filters computed from the
-/// same per-frame counters the tree builder keeps — so matching requests
-/// never construct arena nodes and only matched text is ever copied.
-/// ExtractStreaming() takes that fused path for streamable() XPath plans.
+/// against html::WalkTagSoup's events — an explicit depth stack carrying
+/// per-step match frames, interned-id tag comparison, positional filters
+/// computed from the same per-frame counters the tree builder keeps — so
+/// matching requests never construct nodes and only matched text is ever
+/// copied. ExtractStreaming() takes that path for streamable() XPath
+/// plans.
 ///
 /// Extract() runs any plan over an arena DOM (`buffer.doc`). It has no
 /// production caller; the repository benchmark still measures it, and
@@ -308,7 +300,8 @@ class CompiledWrapper {
 
   void ExtractXPath(FastPageBuffer& buffer,
                     std::vector<std::string_view>* values) const;
-  // The fused tokenize→plan-execute machine (streamable() plans only).
+  // The streaming XPath executor, a WalkTagSoup visitor (streamable()
+  // plans only).
   void ExtractXPathStreaming(std::string_view raw_page,
                              StreamPageBuffer& buffer,
                              std::vector<std::string_view>* values) const;

@@ -1,146 +1,14 @@
 #include "html/arena_dom.h"
 
-#include <array>
-#include <deque>
-#include <functional>
-#include <mutex>
-#include <shared_mutex>
-#include <unordered_map>
 #include <utility>
 
-#include "common/strings.h"
-#include "html/parse_rules.h"
-#include "html/tokenizer.h"
+#include "html/recovery.h"
 
 namespace ntw::html {
 
-namespace {
-
-struct TransparentStringHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const noexcept {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-
-using TransparentMap =
-    std::unordered_map<std::string, NameTable::Interned, TransparentStringHash,
-                       std::equal_to<>>;
-
-}  // namespace
-
-struct NameTable::Rep {
-  mutable std::shared_mutex mu;
-  TransparentMap map;
-  // Stable storage for interned names: deque never moves existing elements.
-  std::deque<std::string> names;
-};
-
-NameTable::NameTable() : rep_(new Rep) {}
-
-NameTable& NameTable::Global() {
-  static NameTable* table = new NameTable();
-  return *table;
-}
-
-NameTable::Interned NameTable::Intern(std::string_view name) {
-  // Front line: a tiny thread-local direct-mapped cache. Parsing interns the
-  // same dozen tag and attribute names over and over, so one hash-free probe
-  // with a full-string confirm hits almost always — cheaper than even an
-  // unordered_map lookup. Collisions just overwrite the slot; correctness
-  // rests entirely on the string comparison.
-  struct Slot {
-    std::string name;
-    Interned interned;
-  };
-  thread_local std::array<Slot, 256> direct;
-  Slot* slot = nullptr;
-  if (!name.empty()) {
-    size_t h = (name.size() * 131 +
-                static_cast<unsigned char>(name.front()) * 31 +
-                static_cast<unsigned char>(name.back())) &
-               (direct.size() - 1);
-    slot = &direct[h];
-    if (slot->name == name) return slot->interned;
-  }
-
-  // Second line: a per-thread map of everything this thread has already
-  // interned. The name universe (tags + attribute names) is tiny, so the
-  // cache converges after the first few pages and parsing takes no locks.
-  thread_local TransparentMap cache;
-  if (auto it = cache.find(name); it != cache.end()) {
-    if (slot != nullptr) {
-      slot->name = name;
-      slot->interned = it->second;
-    }
-    return it->second;
-  }
-
-  Interned interned;
-  {
-    std::shared_lock<std::shared_mutex> lock(rep_->mu);
-    if (auto it = rep_->map.find(name); it != rep_->map.end()) {
-      interned = it->second;
-      lock.unlock();
-      cache.emplace(std::string(name), interned);
-      if (slot != nullptr) {
-        slot->name = name;
-        slot->interned = interned;
-      }
-      return interned;
-    }
-  }
-  {
-    std::unique_lock<std::shared_mutex> lock(rep_->mu);
-    if (auto it = rep_->map.find(name); it != rep_->map.end()) {
-      interned = it->second;
-    } else {
-      rep_->names.emplace_back(name);
-      interned.id = static_cast<int32_t>(rep_->names.size()) - 1;
-      interned.name = rep_->names.back();
-      rep_->map.emplace(std::string(name), interned);
-    }
-  }
-  cache.emplace(std::string(name), interned);
-  if (slot != nullptr) {
-    slot->name = name;
-    slot->interned = interned;
-  }
-  return interned;
-}
-
-int32_t NameTable::Find(std::string_view name) const {
-  std::shared_lock<std::shared_mutex> lock(rep_->mu);
-  if (auto it = rep_->map.find(name); it != rep_->map.end()) {
-    return it->second.id;
-  }
-  return -1;
-}
-
-namespace {
-
-// Mirrors strings.cc CollapseWhitespace but writes into a reusable buffer,
-// copying each run of non-space characters in bulk.
-void CollapseWhitespaceTo(std::string_view s, std::string* out) {
-  out->clear();
-  size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && IsAsciiSpace(s[i])) ++i;
-    size_t run = i;
-    while (run < s.size() && !IsAsciiSpace(s[run])) ++run;
-    if (run > i) {
-      if (!out->empty()) out->push_back(' ');
-      out->append(s.data() + i, run - i);
-      i = run;
-    }
-  }
-}
-
-}  // namespace
-
-// The arena twin of parser.cc's TreeBuilder. Same Tokenizer, same
-// parse_rules.h recovery rules, same text handling — node for node.
-// (Named, not anonymous, so ArenaDocument can befriend it.)
+// Builds the arena DOM from the recovered tree's events: the arena twin
+// of parser.cc's TreeBuilder, node for node. (Named, not anonymous, so
+// ArenaDocument can befriend it.)
 class ArenaTreeBuilder {
  public:
   // One open element on the builder stack. Frames are pooled per thread and
@@ -156,92 +24,18 @@ class ArenaTreeBuilder {
 
   // Per-thread reusable builder state.
   struct ParseScratch {
+    RecoveryScratch recovery;
     std::vector<Frame> frames;
     std::string collapsed;
   };
 
-  ArenaTreeBuilder(const ParseOptions& options, ArenaDocument* doc,
-                   ParseScratch* scratch)
-      : options_(options),
-        doc_(doc),
-        frames_(scratch->frames),
-        collapsed_(scratch->collapsed) {
+  ArenaTreeBuilder(ArenaDocument* doc, ParseScratch* scratch)
+      : doc_(doc), frames_(scratch->frames), collapsed_(scratch->collapsed) {
     doc_->nodes_.emplace_back();  // Document root, pre-order index 0.
     PushFrame(0);
   }
 
-  void Feed(const Token& token) {
-    switch (token.kind) {
-      case TokenKind::kText:
-        HandleText(token);
-        break;
-      case TokenKind::kStartTag:
-        HandleStartTag(token);
-        break;
-      case TokenKind::kEndTag:
-        HandleEndTag(token);
-        break;
-      case TokenKind::kComment:
-      case TokenKind::kDoctype:
-        break;  // Dropped, as the paper's tidy pipeline does.
-    }
-  }
-
- private:
-  void PushFrame(int32_t node) {
-    if (frames_.size() <= depth_) frames_.emplace_back();
-    Frame& f = frames_[depth_++];
-    f.node = node;
-    f.last_child = -1;
-    f.children = 0;
-    f.tag_counts.clear();
-  }
-
-  // Appends a node under the current top frame and links it in.
-  int32_t AppendNode(NodeKind kind) {
-    Frame& f = frames_[depth_ - 1];
-    int32_t idx = static_cast<int32_t>(doc_->nodes_.size());
-    doc_->nodes_.emplace_back();
-    ArenaNode& n = doc_->nodes_.back();
-    n.kind = kind;
-    n.parent = f.node;
-    n.sibling_index = f.children++;
-    if (f.last_child >= 0) {
-      doc_->nodes_[static_cast<size_t>(f.last_child)].next_sibling = idx;
-    } else {
-      doc_->nodes_[static_cast<size_t>(f.node)].first_child = idx;
-    }
-    f.last_child = idx;
-    return idx;
-  }
-
-  void HandleText(const Token& token) {
-    std::string_view text;
-    if (options_.collapse_whitespace) {
-      CollapseWhitespaceTo(token.data, &collapsed_);
-      text = collapsed_;
-    } else {
-      text = token.data;
-    }
-    if (options_.skip_whitespace_text && StripWhitespace(text).empty()) {
-      return;
-    }
-    int32_t idx = AppendNode(NodeKind::kText);
-    doc_->nodes_[static_cast<size_t>(idx)].text =
-        doc_->arena_.CopyString(text);
-  }
-
-  void HandleStartTag(const Token& token) {
-    // Apply implied end tags, bounded by scope boundaries.
-    while (depth_ > 1) {
-      const ArenaNode& current =
-          doc_->nodes_[static_cast<size_t>(frames_[depth_ - 1].node)];
-      if (IsScopeBoundary(current.tag)) break;
-      if (!CloseImpliedBy(current.tag, token.data)) break;
-      --depth_;
-    }
-
-    NameTable::Interned tag = NameTable::Global().Intern(token.data);
+  void OnOpen(const Token& token, const StartTag& tag) {
     int32_t idx = AppendNode(NodeKind::kElement);
     {
       ArenaNode& n = doc_->nodes_[static_cast<size_t>(idx)];
@@ -271,9 +65,45 @@ class ArenaTreeBuilder {
       doc_->nodes_[static_cast<size_t>(idx)].same_tag_child_number = count;
     }
 
-    if (!IsVoidElementTag(token.data) && !token.self_closing) {
-      PushFrame(idx);
+    if (!tag.is_void) PushFrame(idx);
+  }
+
+  void OnText(std::string_view text) {
+    collapsed_.clear();
+    AppendCollapsedText(text, &collapsed_);
+    int32_t idx = AppendNode(NodeKind::kText);
+    doc_->nodes_[static_cast<size_t>(idx)].text =
+        doc_->arena_.CopyString(collapsed_);
+  }
+
+  void OnClose(std::string_view) { --depth_; }
+
+ private:
+  void PushFrame(int32_t node) {
+    if (frames_.size() <= depth_) frames_.emplace_back();
+    Frame& f = frames_[depth_++];
+    f.node = node;
+    f.last_child = -1;
+    f.children = 0;
+    f.tag_counts.clear();
+  }
+
+  // Appends a node under the current top frame and links it in.
+  int32_t AppendNode(NodeKind kind) {
+    Frame& f = frames_[depth_ - 1];
+    int32_t idx = static_cast<int32_t>(doc_->nodes_.size());
+    doc_->nodes_.emplace_back();
+    ArenaNode& n = doc_->nodes_.back();
+    n.kind = kind;
+    n.parent = f.node;
+    n.sibling_index = f.children++;
+    if (f.last_child >= 0) {
+      doc_->nodes_[static_cast<size_t>(f.last_child)].next_sibling = idx;
+    } else {
+      doc_->nodes_[static_cast<size_t>(f.node)].first_child = idx;
     }
+    f.last_child = idx;
+    return idx;
   }
 
   // Duplicate attribute names keep the first position, last value — the
@@ -293,41 +123,17 @@ class ArenaTreeBuilder {
     n.attrs_end = static_cast<int32_t>(doc_->attrs_.size());
   }
 
-  void HandleEndTag(const Token& token) {
-    // Find the nearest matching open element; if none, ignore the end tag.
-    for (size_t i = depth_; i > 1; --i) {
-      const ArenaNode& candidate =
-          doc_->nodes_[static_cast<size_t>(frames_[i - 1].node)];
-      if (candidate.tag == token.data) {
-        depth_ = i - 1;
-        return;
-      }
-      // Do not let a stray end tag close past a table boundary.
-      if (candidate.tag == "table" && token.data != "table") return;
-    }
-  }
-
-  const ParseOptions& options_;
   ArenaDocument* doc_;
   std::vector<Frame>& frames_;
   std::string& collapsed_;
   size_t depth_ = 0;
 };
 
-void ArenaParse(std::string_view input, const ParseOptions& options,
-                ArenaDocument* doc) {
+void ArenaParse(std::string_view input, ArenaDocument* doc) {
   thread_local ArenaTreeBuilder::ParseScratch scratch;
   doc->Clear();
-  ArenaTreeBuilder builder(options, doc, &scratch);
-  Tokenizer tokenizer(input);
-  Token token;
-  while (tokenizer.Next(&token)) {
-    builder.Feed(token);
-  }
-}
-
-void ArenaParse(std::string_view input, ArenaDocument* doc) {
-  ArenaParse(input, ParseOptions{}, doc);
+  ArenaTreeBuilder builder(doc, &scratch);
+  WalkTagSoup(input, scratch.recovery, builder);
 }
 
 namespace {

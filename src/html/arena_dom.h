@@ -8,39 +8,9 @@
 
 #include "common/arena.h"
 #include "html/dom.h"
-#include "html/parser.h"
+#include "html/name_table.h"
 
 namespace ntw::html {
-
-/// Process-global intern table for tag and attribute names. Interning maps
-/// each distinct lowercased name to a dense int32 id, so the hot extraction
-/// path compares ids instead of strings. The table only ever grows (the name
-/// universe — HTML tags plus attribute names — is tiny and shared across all
-/// pages); interned name storage is stable for the process lifetime, so the
-/// string_views handed out never dangle.
-///
-/// Thread-safe. Lookups hit a thread-local cache first, so steady-state
-/// parsing takes no locks.
-class NameTable {
- public:
-  struct Interned {
-    int32_t id;
-    std::string_view name;  // Stable for the process lifetime.
-  };
-
-  static NameTable& Global();
-
-  /// Returns the id for `name`, creating one on first sight.
-  Interned Intern(std::string_view name);
-
-  /// Id for `name` if it was ever interned, -1 otherwise. Never creates.
-  int32_t Find(std::string_view name) const;
-
- private:
-  struct Rep;
-  NameTable();
-  Rep* rep_;
-};
 
 /// One attribute of an arena DOM element. The name is interned; the value
 /// bytes live in the owning ArenaDocument's arena.
@@ -133,12 +103,9 @@ class ArenaDocument {
 };
 
 /// Parses `input` into `doc` (which is Clear()ed first). Produces a tree
-/// structurally identical to html::Parse with the same options: same nodes
-/// in the same pre-order, same sibling/child numbering, same attribute
-/// order, same decoded/collapsed text — the shared Tokenizer and the shared
-/// parse_rules.h guarantee it.
-void ArenaParse(std::string_view input, const ParseOptions& options,
-                ArenaDocument* doc);
+/// structurally identical to html::Parse: same nodes in the same pre-order,
+/// same sibling/child numbering, same attribute order, same decoded/
+/// collapsed text — both build from WalkTagSoup's events (recovery.h).
 void ArenaParse(std::string_view input, ArenaDocument* doc);
 
 }  // namespace ntw::html

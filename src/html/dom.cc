@@ -4,13 +4,6 @@
 
 namespace ntw::html {
 
-bool IsVoidElementTag(std::string_view tag) {
-  return tag == "area" || tag == "base" || tag == "br" || tag == "col" ||
-         tag == "embed" || tag == "hr" || tag == "img" || tag == "input" ||
-         tag == "link" || tag == "meta" || tag == "param" ||
-         tag == "source" || tag == "track" || tag == "wbr";
-}
-
 std::unique_ptr<Node> Node::MakeText(std::string text) {
   auto node = std::make_unique<Node>();
   node->kind_ = NodeKind::kText;

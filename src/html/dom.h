@@ -9,7 +9,7 @@
 namespace ntw::html {
 
 /// True for HTML void elements (<br>, <img>, ...) which never have
-/// children or end tags.
+/// children or end tags. Defined with the recovery rules (recovery.cc).
 bool IsVoidElementTag(std::string_view tag);
 
 /// Kind of a DOM node. The library models only what the paper's framework

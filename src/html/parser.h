@@ -8,25 +8,11 @@
 
 namespace ntw::html {
 
-/// Parser configuration.
-struct ParseOptions {
-  /// Drop text nodes that are pure whitespace (the normal setting for the
-  /// extraction pipeline; inter-tag indentation carries no data).
-  bool skip_whitespace_text = true;
-  /// Collapse internal whitespace runs in text nodes to single spaces.
-  bool collapse_whitespace = true;
-};
-
-/// Parses tag-soup HTML into a finalized Document. This is the library's
-/// stand-in for the paper's jtidy clean-up + DOM parse: it inserts implied
-/// end tags (</li>, </tr>, </td>, </p>, </option>...), treats void elements
-/// (<br>, <img>, ...) as childless, recovers from mis-nested or unmatched
-/// end tags, and drops comments/doctypes. Never fails on any input; the
-/// Result is for interface uniformity and only errors on pathological
-/// internal states (currently none).
-Result<Document> Parse(std::string_view input, const ParseOptions& options);
-
-/// Parses with default options.
+/// Parses tag-soup HTML into a finalized Document: the tree WalkTagSoup
+/// recovers (recovery.h), with text nodes whitespace-collapsed. This is
+/// the library's stand-in for the paper's jtidy clean-up + DOM parse.
+/// Never fails on any input; the Result is for interface uniformity and
+/// only errors on pathological internal states (currently none).
 Result<Document> Parse(std::string_view input);
 
 }  // namespace ntw::html

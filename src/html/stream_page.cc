@@ -1,10 +1,9 @@
 #include "html/stream_page.h"
 
 #include "common/strings.h"
-#include "html/arena_dom.h"
 #include "html/dom.h"
 #include "html/entities.h"
-#include "html/parse_rules.h"
+#include "html/name_table.h"
 #include "html/scan.h"
 
 namespace ntw::html {
@@ -43,27 +42,11 @@ bool IsCollapseIdentity(std::string_view s) {
 
 }  // namespace
 
-bool AppendCollapsedText(std::string_view text, std::string* out) {
-  size_t mark = out->size();
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && IsAsciiSpace(text[i])) ++i;
-    size_t run = i;
-    while (run < text.size() && !IsAsciiSpace(text[run])) ++run;
-    if (run > i) {
-      if (out->size() > mark) out->push_back(' ');
-      out->append(text.data() + i, run - i);
-      i = run;
-    }
-  }
-  return out->size() > mark;
-}
-
 void StreamPage::Clear() {
   input_ = std::string_view();
   stream_.clear();
   spans_.clear();
-  open_.clear();
+  recovery_.open.Clear();
   attr_names_.clear();
   tier_ = Tier::kFlattened;
 }
@@ -74,7 +57,6 @@ void StreamPage::Build(std::string_view input) {
   if (BuildVerbatim(input)) return;
   stream_.clear();
   spans_.clear();
-  open_.clear();
   tier_ = Tier::kFlattened;
   BuildFlattened(input);
 }
@@ -83,8 +65,8 @@ void StreamPage::Build(std::string_view input) {
 // normalized stream (verbatim) or identical up to LOCAL patches — entity
 // decodes and whitespace-collapse fixes whose replacements are computable
 // in place (patched). Every check mirrors a specific normalization the
-// Tokenizer / tree builder / flattener performs; any STRUCTURAL rewrite
-// (one that moves, reorders or synthesizes tag bytes) bails to the fused
+// Tokenizer / recovery walk / flattener performs; any STRUCTURAL rewrite
+// (one that moves, reorders or synthesizes tag bytes) bails to the
 // flatten. The grammar is deliberately conservative — a false bail only
 // costs speed, a false accept would break the byte-identity contract.
 //
@@ -93,6 +75,12 @@ void StreamPage::Build(std::string_view input) {
 // proven-verbatim prefix into stream_ and from then on clean chunks are
 // appended in bulk between patch points.
 bool StreamPage::BuildVerbatim(std::string_view in) {
+  OpenElementStack& open = recovery_.open;
+  auto append_close = [this](std::string_view tag) {
+    closes_.append("</");
+    closes_.append(tag);
+    closes_.push_back('>');
+  };
   size_t n = in.size();
   size_t pos = 0;
   bool copied = false;    // True once the output diverged from the input.
@@ -189,7 +177,7 @@ bool StreamPage::BuildVerbatim(std::string_view in) {
 
     if (next == '/') {
       // End tag: the tokenizer lexes the name (folding case) and then
-      // skips anything up to '>'. The builder closes the nearest matching
+      // skips anything up to '>'. Recovery closes the nearest matching
       // open element — popping, i.e. splicing close tags for, everything
       // above it — never crossing a table boundary; an unmatched end tag
       // is dropped. All of that resolves against the open stack right
@@ -211,31 +199,20 @@ bool StreamPage::BuildVerbatim(std::string_view in) {
       }
       size_t gt = scan::FindByte(in, p, '>');
       if (gt == kNpos) return false;  // EOF inside the end tag.
-      size_t match = kNpos;
-      for (size_t i = open_.size(); i > 0; --i) {
-        if (open_[i - 1] == name) {
-          match = i - 1;
-          break;
-        }
-        if (open_[i - 1] == "table" && name != "table") break;
-      }
-      if (match == kNpos) {
+      size_t match = open.SizeAfterEndTag(name);
+      if (match == open.size()) {
         patch(pos, gt + 1, std::string_view());  // Dropped end tag.
         pos = gt + 1;
         continue;
       }
-      if (match + 1 < open_.size()) {
+      if (match + 1 < open.size()) {
         // Mis-nested: splice closes for everything above the matching
         // element, innermost first, ahead of this end tag.
         closes_.clear();
-        for (size_t i = open_.size(); i > match + 1; --i) {
-          closes_.append("</");
-          closes_.append(open_[i - 1]);
-          closes_.push_back('>');
-        }
+        open.PopTo(match + 1, append_close);
         patch(pos, pos, closes_);
       }
-      open_.resize(match);
+      open.Pop();
       if (fold || p != gt) {
         // Canonical close: folded name, junk before '>' dropped.
         closes_.assign("</");
@@ -266,19 +243,11 @@ bool StreamPage::BuildVerbatim(std::string_view in) {
       name = NameTable::Global().Intern(lowered_).name;
     }
 
-    // Implied end tags, bounded by scope boundaries — the same loop as
-    // the builders, with each popped element's close tag spliced in
+    // Implied end tags: each popped element's close tag is spliced in
     // before the '<' of this start tag.
-    if (!open_.empty() && !IsScopeBoundary(open_.back()) &&
-        CloseImpliedBy(open_.back(), name)) {
+    if (size_t keep = open.SizeAfterStartTag(name); keep < open.size()) {
       closes_.clear();
-      do {
-        closes_.append("</");
-        closes_.append(open_.back());
-        closes_.push_back('>');
-        open_.pop_back();
-      } while (!open_.empty() && !IsScopeBoundary(open_.back()) &&
-               CloseImpliedBy(open_.back(), name));
+      open.PopTo(keep, append_close);
       patch(pos, pos, closes_);
     }
     if (fold) patch(name_start, p, name);
@@ -394,7 +363,7 @@ bool StreamPage::BuildVerbatim(std::string_view in) {
       pos = p;
       continue;
     }
-    open_.push_back(name);
+    open.Push(name);
 
     if (IsRawTextTag(name)) {
       // Raw-text content runs to the matching "</name" with a '>' or
@@ -439,17 +408,12 @@ bool StreamPage::BuildVerbatim(std::string_view in) {
     pos = p;
   }
   // Elements still open at EOF get their close tags synthesized at the
-  // end of the stream, innermost first — exactly where the builders pop
-  // the remaining frames. A pure append, so it is LOCAL.
-  if (!open_.empty()) {
+  // end of the stream, innermost first — exactly where the walk closes
+  // them. A pure append, so it is LOCAL.
+  if (!open.empty()) {
     closes_.clear();
-    for (size_t i = open_.size(); i > 0; --i) {
-      closes_.append("</");
-      closes_.append(open_[i - 1]);
-      closes_.push_back('>');
-    }
+    open.PopTo(0, append_close);
     patch(n, n, closes_);
-    open_.clear();
   }
   if (copied) {
     stream_.append(in.data() + flush_mark, n - flush_mark);
@@ -460,107 +424,59 @@ bool StreamPage::BuildVerbatim(std::string_view in) {
   return true;
 }
 
-// Tier 2: the fused tokenize→flatten loop. Feeds the shared Tokenizer
-// through the same recovery rules as the tree builders (parse_rules.h),
-// but instead of materializing nodes it appends the flattened stream
-// directly: close tags are emitted at the document-order position where
-// the builder would pop the element's frame, which is exactly where the
-// recursive flattener emits them.
+// Tier 3: WalkTagSoup with a visitor that appends the flattened stream.
+// The walk emits each close where the recursive flattener emits the end
+// tag: after the element's children.
 void StreamPage::BuildFlattened(std::string_view in) {
-  auto emit_close = [this](std::string_view tag) {
-    stream_.append("</");
-    stream_.append(tag);
-    stream_.push_back('>');
-  };
+  struct Flattener {
+    std::string& stream;
+    std::vector<StreamSpan>& spans;
 
-  Tokenizer tokenizer(in);
-  while (tokenizer.Next(&token_)) {
-    switch (token_.kind) {
-      case TokenKind::kText: {
-        size_t begin = stream_.size();
-        // Collapsed-empty text is the whitespace-only case the builders
-        // skip; AppendCollapsed appends nothing then, so no span either.
-        if (AppendCollapsedText(token_.data, &stream_)) {
-          spans_.push_back({begin, stream_.size()});
-        }
-        break;
-      }
-      case TokenKind::kStartTag: {
-        // Implied end tags, bounded by scope boundaries — same loop as
-        // the builders, with the close tags emitted as we pop.
-        while (!open_.empty()) {
-          std::string_view top = open_.back();
-          if (IsScopeBoundary(top)) break;
-          if (!CloseImpliedBy(top, token_.data)) break;
-          emit_close(top);
-          open_.pop_back();
-        }
-        // Interned name: stable for the process lifetime, so the open
-        // stack can hold views across the whole build.
-        NameTable::Interned tag = NameTable::Global().Intern(token_.data);
-        stream_.push_back('<');
-        stream_.append(tag.name);
-        // Duplicate attribute names keep the first position, last value
-        // (Node::SetAttr semantics); later duplicates vanish.
-        size_t attr_count = token_.attrs.size();
-        for (size_t i = 0; i < attr_count; ++i) {
-          const std::string& attr_name = token_.attrs[i].first;
-          bool duplicate = false;
-          for (size_t j = 0; j < i; ++j) {
-            if (token_.attrs[j].first == attr_name) {
-              duplicate = true;
-              break;
-            }
-          }
-          if (duplicate) continue;
-          const std::string* value = &token_.attrs[i].second;
-          for (size_t j = i + 1; j < attr_count; ++j) {
-            if (token_.attrs[j].first == attr_name) {
-              value = &token_.attrs[j].second;
-            }
-          }
-          stream_.push_back(' ');
-          stream_.append(attr_name);
-          stream_.append("=\"");
-          stream_.append(*value);
-          stream_.push_back('"');
-        }
-        stream_.push_back('>');
-        if (IsVoidElementTag(tag.name)) break;
-        if (token_.self_closing) {
-          emit_close(tag.name);  // Childless element: <x></x>.
-          break;
-        }
-        open_.push_back(tag.name);
-        break;
-      }
-      case TokenKind::kEndTag: {
-        // Nearest matching open element closes everything above it; a
-        // stray end tag never crosses a table boundary (and an entirely
-        // unmatched one is dropped).
-        for (size_t i = open_.size(); i > 0; --i) {
-          std::string_view candidate = open_[i - 1];
-          if (candidate == token_.data) {
-            for (size_t j = open_.size(); j >= i; --j) {
-              emit_close(open_[j - 1]);
-            }
-            open_.resize(i - 1);
+    void OnOpen(const Token& token, const StartTag& tag) {
+      stream.push_back('<');
+      stream.append(tag.name);
+      // Duplicate attribute names keep the first position, last value
+      // (Node::SetAttr semantics); later duplicates vanish.
+      size_t attr_count = token.attrs.size();
+      for (size_t i = 0; i < attr_count; ++i) {
+        const std::string& attr_name = token.attrs[i].first;
+        bool duplicate = false;
+        for (size_t j = 0; j < i; ++j) {
+          if (token.attrs[j].first == attr_name) {
+            duplicate = true;
             break;
           }
-          if (candidate == "table" && token_.data != "table") break;
         }
-        break;
+        if (duplicate) continue;
+        const std::string* value = &token.attrs[i].second;
+        for (size_t j = i + 1; j < attr_count; ++j) {
+          if (token.attrs[j].first == attr_name) {
+            value = &token.attrs[j].second;
+          }
+        }
+        stream.push_back(' ');
+        stream.append(attr_name);
+        stream.append("=\"");
+        stream.append(*value);
+        stream.push_back('"');
       }
-      case TokenKind::kComment:
-      case TokenKind::kDoctype:
-        break;  // Dropped, as the tidy pipeline does.
+      stream.push_back('>');
     }
-  }
-  // Unclosed elements get end tags at EOF, innermost first.
-  for (size_t j = open_.size(); j > 0; --j) {
-    emit_close(open_[j - 1]);
-  }
-  open_.clear();
+
+    void OnText(std::string_view text) {
+      size_t begin = stream.size();
+      AppendCollapsedText(text, &stream);
+      spans.push_back({begin, stream.size()});
+    }
+
+    void OnClose(std::string_view tag) {
+      stream.append("</");
+      stream.append(tag);
+      stream.push_back('>');
+    }
+  };
+  Flattener flattener{stream_, spans_};
+  WalkTagSoup(in, recovery_, flattener);
 }
 
 }  // namespace ntw::html

@@ -6,7 +6,7 @@
 #include <string_view>
 #include <vector>
 
-#include "html/tokenizer.h"
+#include "html/recovery.h"
 
 namespace ntw::html {
 
@@ -16,21 +16,13 @@ struct StreamSpan {
   size_t end;
 };
 
-/// Appends CollapseWhitespace(text) to `out`, separator-joining the word
-/// runs. Returns true when anything was appended (i.e. the text was not
-/// whitespace-only — the skip_whitespace_text rule falls out for free).
-/// This is the exact text normalization the tree builders apply, shared
-/// here so the fused streaming-XPath executor captures matched text nodes
-/// with the same bytes the arena DOM would store.
-bool AppendCollapsedText(std::string_view text, std::string* out);
-
 /// A page reduced to the flattened character stream plus its text spans —
 /// the only inputs the LR/HLRT delimiter matchers consume — built without
 /// constructing any DOM. The produced stream is byte-identical to
-/// ArenaDocument::stream()/spans() for the same input under the default
-/// ParseOptions (collapse whitespace, skip whitespace-only text), which is
-/// what makes the serving fast path's byte-identity contract carry over to
-/// the streaming path (tests/streaming_equivalence_test.cc pins it).
+/// text::CharView over html::Parse of the same input, which is what makes
+/// the interpreter's byte-identity contract carry over to the streaming
+/// path (tests/streaming_equivalence_test.cc and
+/// tests/differential_test.cc pin it).
 ///
 /// Three tiers, one scanner:
 ///
@@ -64,9 +56,11 @@ bool AppendCollapsedText(std::string_view text, std::string* out);
 ///     bytes moving backwards (duplicate attributes keep the first
 ///     position but the last value), the self-closing-slash machinery,
 ///     comments, doctypes, stray '<', unclosed raw-text elements — bails
-///     to the fused tokenize→flatten loop (the shared Tokenizer plus the
-///     shared parse_rules.h recovery rules, an open-tag stack instead of
-///     a tree) that appends the normalized stream into the reuse buffer.
+///     to WalkTagSoup (recovery.h) with a visitor that appends the
+///     normalized stream into the reuse buffer.
+///
+/// The verbatim/patched scanner resolves implied closes, end tags and
+/// EOF closes on the same OpenElementStack the walk uses.
 ///
 /// Reuse: Clear() keeps every buffer's capacity, so steady-state builds
 /// allocate nothing (the serving layer pools StreamPages per shard).
@@ -86,9 +80,8 @@ class StreamPage {
   StreamPage(const StreamPage&) = delete;
   StreamPage& operator=(const StreamPage&) = delete;
 
-  /// Builds the flattened stream for `input` (default ParseOptions
-  /// semantics). Never fails: pages the verbatim/patched scanner rejects
-  /// take the fused flatten path.
+  /// Builds the flattened stream for `input`. Never fails: pages the
+  /// verbatim/patched scanner rejects take the flatten path.
   void Build(std::string_view input);
 
   /// The normalized character stream; aliases the Build() input when
@@ -114,14 +107,13 @@ class StreamPage {
   std::string_view input_;
   std::string stream_;               // Patched/flattened output buffer.
   std::vector<StreamSpan> spans_;
-  std::vector<std::string_view> open_;        // Open-element tag names.
+  RecoveryScratch recovery_;  // Open-element stack (both scanners), token.
   std::vector<std::string_view> attr_names_;  // Per-tag dedup scratch.
   std::string needle_;                        // Raw-text end-tag scratch.
   std::string decoded_;                       // Patch entity-decode scratch.
   std::string normalized_;                    // Patch collapse scratch.
   std::string lowered_;                       // Name case-fold scratch.
   std::string closes_;                        // Synthesized end-tag scratch.
-  Token token_;                               // Flatten token scratch.
   Tier tier_ = Tier::kFlattened;
 };
 
