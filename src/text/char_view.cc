@@ -11,40 +11,61 @@ CharView::CharView(const html::Document& doc) {
   Flatten(doc.root());
 }
 
-void CharView::Flatten(const html::Node* node) {
-  switch (node->kind()) {
-    case html::NodeKind::kDocument:
-      for (const auto& child : node->children()) Flatten(child.get());
-      return;
-    case html::NodeKind::kText: {
-      TextSpan span;
-      span.node = node;
-      span.begin = stream_.size();
-      stream_.append(node->text());
-      span.end = stream_.size();
-      span_index_by_node_[static_cast<size_t>(node->preorder_index())] =
-          static_cast<int>(spans_.size()) + 1;
-      spans_.push_back(span);
-      return;
+void CharView::Flatten(const html::Node* root) {
+  // Iterative pre-order walk: nesting depth is bounded only by page size.
+  // An element's entry comes back with `close` set once its children are
+  // done, to emit its end tag.
+  struct Pending {
+    const html::Node* node;
+    bool close;
+  };
+  std::vector<Pending> pending = {{root, false}};
+  auto push_children = [&pending](const html::Node* node) {
+    for (size_t i = node->child_count(); i > 0; --i) {
+      pending.push_back({node->child(i - 1), false});
     }
-    case html::NodeKind::kElement:
-      break;
+  };
+  while (!pending.empty()) {
+    auto [node, close] = pending.back();
+    pending.pop_back();
+    if (close) {
+      stream_.append("</");
+      stream_.append(node->tag());
+      stream_.push_back('>');
+      continue;
+    }
+    switch (node->kind()) {
+      case html::NodeKind::kDocument:
+        push_children(node);
+        continue;
+      case html::NodeKind::kText: {
+        TextSpan span;
+        span.node = node;
+        span.begin = stream_.size();
+        stream_.append(node->text());
+        span.end = stream_.size();
+        span_index_by_node_[static_cast<size_t>(node->preorder_index())] =
+            static_cast<int>(spans_.size()) + 1;
+        spans_.push_back(span);
+        continue;
+      }
+      case html::NodeKind::kElement:
+        break;
+    }
+    stream_.push_back('<');
+    stream_.append(node->tag());
+    for (const auto& [name, value] : node->attrs()) {
+      stream_.push_back(' ');
+      stream_.append(name);
+      stream_.append("=\"");
+      stream_.append(value);
+      stream_.push_back('"');
+    }
+    stream_.push_back('>');
+    if (html::IsVoidElementTag(node->tag())) continue;
+    pending.push_back({node, true});
+    push_children(node);
   }
-  stream_.push_back('<');
-  stream_.append(node->tag());
-  for (const auto& [name, value] : node->attrs()) {
-    stream_.push_back(' ');
-    stream_.append(name);
-    stream_.append("=\"");
-    stream_.append(value);
-    stream_.push_back('"');
-  }
-  stream_.push_back('>');
-  if (html::IsVoidElementTag(node->tag())) return;
-  for (const auto& child : node->children()) Flatten(child.get());
-  stream_.append("</");
-  stream_.append(node->tag());
-  stream_.push_back('>');
 }
 
 const TextSpan* CharView::SpanForNode(int preorder_index) const {

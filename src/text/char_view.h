@@ -39,7 +39,7 @@ class CharView {
   std::string_view After(const TextSpan& span, size_t k) const;
 
  private:
-  void Flatten(const html::Node* node);
+  void Flatten(const html::Node* root);
 
   std::string stream_;
   std::vector<TextSpan> spans_;

@@ -1,11 +1,13 @@
 #include <string>
 
+#include "core/lr_inductor.h"
 #include "gtest/gtest.h"
 #include "html/entities.h"
 #include "html/parser.h"
 #include "html/serializer.h"
 #include "html/tokenizer.h"
 #include "test_util.h"
+#include "text/char_view.h"
 #include "xpath/evaluator.h"
 #include "xpath/parser.h"
 
@@ -300,7 +302,8 @@ TEST(ParserTest, TextContentConcatenates) {
 TEST(ParserTest, MillionLevelNestingSurvivesTextContentAndTeardown) {
   // ~5 MB, under the serving default max_body_bytes: the heap DOM must
   // not recurse per level in TextContent, its destructor, the
-  // interpreted XPath `//` step, Serialize or StructuralSignature.
+  // interpreted XPath `//` step, Serialize, StructuralSignature or the
+  // LR view (text::CharView, and through it the interpreted LrWrapper).
   constexpr size_t kDepth = 1000000;
   std::string html = "<html><body>";
   html.reserve(html.size() + kDepth * 5 + 4);
@@ -335,6 +338,20 @@ TEST(ParserTest, MillionLevelNestingSurvivesTextContentAndTeardown) {
     EXPECT_EQ(StructuralSignature(doc->root()),
               "<html><body>" + divs_open + "#text " + divs_close +
                   "</body></html>");
+
+    text::CharView view(*doc);
+    ASSERT_EQ(view.spans().size(), 1u);
+    const text::TextSpan& span = view.spans()[0];
+    EXPECT_EQ(view.stream().substr(span.begin, span.end - span.begin),
+              "deep");
+    EXPECT_EQ(view.stream(), serialized);
+
+    core::LrWrapper lr("<div>", "</div>");
+    core::PageSet pages;
+    pages.AddPage(std::move(*doc));
+    core::NodeSet extracted = lr.Extract(pages);
+    ASSERT_EQ(extracted.size(), 1u);
+    EXPECT_EQ(testing::TextOf(pages, extracted[0]), "deep");
   }  // Destroys the million-level chain.
 }
 
