@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/label.h"
@@ -28,6 +29,13 @@ class Wrapper {
 };
 
 using WrapperPtr = std::shared_ptr<const Wrapper>;
+
+/// The interpreter: parses one page into a heap DOM, applies `wrapper` and
+/// returns the extracted nodes' text in document order (elements yield
+/// ""). It is the oracle every compiled path is tested against, and the
+/// serve and crawl path for plans without a streaming form.
+std::vector<std::string> ExtractValuesInterpreted(const Wrapper& wrapper,
+                                                  std::string_view page_html);
 
 /// Result of one inductor invocation: the rule plus its extraction on the
 /// training page set (φ(L) denotes both, Sec. 4).

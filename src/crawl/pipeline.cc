@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "crawl/record.h"
-#include "html/parser.h"
 #include "obs/metrics.h"
 
 namespace ntw::crawl {
@@ -46,24 +45,6 @@ int64_t MicrosSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - start)
       .count();
-}
-
-/// Interpreted fallback, mirroring the serving path: heap DOM parse +
-/// Wrapper::Extract, values materialized as strings.
-std::vector<std::string> ExtractValuesInterpreted(
-    const core::Wrapper& wrapper, const std::string& page_html) {
-  Result<html::Document> doc = html::Parse(page_html);
-  if (!doc.ok()) return {};
-  core::PageSet pages;
-  pages.AddPage(std::move(*doc));
-  core::NodeSet extraction = wrapper.Extract(pages);
-  std::vector<std::string> values;
-  values.reserve(extraction.size());
-  for (const core::NodeRef& ref : extraction) {
-    const html::Node* node = pages.Resolve(ref);
-    if (node != nullptr) values.push_back(node->text());
-  }
-  return values;
 }
 
 }  // namespace
@@ -161,19 +142,20 @@ void CrawlPipeline::ExtractPage(const serve::WrapperRepository::Entry& entry,
     timing.extract_micros = MicrosSince(start);
     AppendRecordLine(site, url, attribute, lease->values, timing, chunk);
     value_count = lease->values.size();
-    if (options_.self_heal && entry.drift != nullptr) {
-      ObserveDriftSample(entry, body, lease->values.data(),
-                         lease->values.size());
+    if (options_.self_heal) {
+      serve::ObserveDrift(entry, 0, body, lease->values.data(),
+                          lease->values.size(), reinducer_);
     }
   } else {
     std::vector<std::string> values =
-        ExtractValuesInterpreted(*entry.wrapper, body);
+        core::ExtractValuesInterpreted(*entry.wrapper, body);
     timing.extract_micros = MicrosSince(start);
     std::vector<std::string_view> views(values.begin(), values.end());
     AppendRecordLine(site, url, attribute, views, timing, chunk);
     value_count = views.size();
-    if (options_.self_heal && entry.drift != nullptr) {
-      ObserveDriftSample(entry, body, views.data(), views.size());
+    if (options_.self_heal) {
+      serve::ObserveDrift(entry, 0, body, views.data(), views.size(),
+                          reinducer_);
     }
   }
   metrics.extract_latency->Record(timing.extract_micros);
@@ -217,8 +199,9 @@ void CrawlPipeline::ExtractSiteFused(
     timing.fetch_micros = fetch_micros;
     timing.extract_micros = scan_micros;
     AppendRecordLine(site, url, attribute, values, timing, chunk);
-    if (options_.self_heal && entry->drift != nullptr) {
-      ObserveDriftSample(*entry, body, values.data(), values.size());
+    if (options_.self_heal) {
+      serve::ObserveDrift(*entry, 0, body, values.data(), values.size(),
+                          reinducer_);
     }
     metrics.extract_latency->Record(scan_micros);
     ++records;
@@ -229,24 +212,6 @@ void CrawlPipeline::ExtractSiteFused(
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.records_emitted += records;
   stats_.values_extracted += value_total;
-}
-
-void CrawlPipeline::ObserveDriftSample(
-    const serve::WrapperRepository::Entry& entry, const std::string& body,
-    const std::string_view* values, size_t count) {
-  serve::DriftState* state = entry.drift.get();
-  if (state == nullptr || reinducer_ == nullptr) return;
-  serve::DriftState::Action action = state->Observe(0, values, count, body);
-  if (action != serve::DriftState::Action::kReinduce) return;
-  serve::DriftState::Sample sample = state->TakeSample();
-  serve::ReinduceTask task;
-  task.site = state->site();
-  task.attribute = state->attribute();
-  task.incumbent_record = state->record();
-  task.pages = std::move(sample.pages);
-  task.dictionary = std::move(sample.dictionary);
-  task.state = entry.drift;
-  if (!reinducer_->Enqueue(std::move(task))) state->EnterCooldown();
 }
 
 void CrawlPipeline::ProcessItem(FrontierItem* item, std::string* chunk) {

@@ -149,12 +149,6 @@ class CrawlPipeline {
           entries,
       std::string_view site, const std::string& url, const std::string& body,
       int64_t fetch_micros, std::string* chunk);
-  /// Feeds one extraction to the entry's drift detector; on a reinduce
-  /// verdict hands the retained sample to the re-induction worker —
-  /// the crawl-side mirror of ExtractService::ObserveDrift.
-  void ObserveDriftSample(const serve::WrapperRepository::Entry& entry,
-                          const std::string& body,
-                          const std::string_view* values, size_t count);
 
   const serve::WrapperRepository* repository_;
   ThreadPool* pool_;

@@ -267,4 +267,24 @@ Result<ReinduceWorker::Repair> ReinduceWorker::Reinduce(
   return repair;
 }
 
+void ObserveDrift(const WrapperRepository::Entry& entry, int shard,
+                  const std::string& page_html, const std::string_view* values,
+                  size_t count, ReinduceWorker* reinducer) {
+  DriftState* state = entry.drift.get();
+  if (state == nullptr || reinducer == nullptr) return;
+  if (state->Observe(shard, values, count, page_html) !=
+      DriftState::Action::kReinduce) {
+    return;
+  }
+  DriftState::Sample sample = state->TakeSample();
+  ReinduceTask task;
+  task.site = state->site();
+  task.attribute = state->attribute();
+  task.incumbent_record = state->record();
+  task.pages = std::move(sample.pages);
+  task.dictionary = std::move(sample.dictionary);
+  task.state = entry.drift;
+  if (!reinducer->Enqueue(std::move(task))) state->EnterCooldown();
+}
+
 }  // namespace ntw::serve

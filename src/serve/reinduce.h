@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -110,6 +111,15 @@ class ReinduceWorker {
   bool started_ = false;
   std::vector<std::thread> threads_;
 };
+
+/// The drift feed of serve and crawl: scores one extraction of `entry`
+/// against its drift detector (metric stripe `shard`) and, on a reinduce
+/// verdict, hands the retained sample to `reinducer`; a full queue puts
+/// the detector into cooldown. No-op when the entry has no detector or
+/// `reinducer` is null.
+void ObserveDrift(const WrapperRepository::Entry& entry, int shard,
+                  const std::string& page_html, const std::string_view* values,
+                  size_t count, ReinduceWorker* reinducer);
 
 }  // namespace ntw::serve
 

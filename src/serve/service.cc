@@ -6,7 +6,6 @@
 
 #include "common/obs_export.h"
 #include "common/strings.h"
-#include "html/parser.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "serve/ndjson.h"
@@ -70,24 +69,6 @@ struct ServiceMetrics {
     return m;
   }
 };
-
-/// Interpreted path: heap DOM parse + Wrapper::Extract. Returns the
-/// extracted text values in document order.
-std::vector<std::string> ExtractValuesInterpreted(const core::Wrapper& wrapper,
-                                                  const std::string& page_html) {
-  Result<html::Document> doc = html::Parse(page_html);
-  if (!doc.ok()) return {};
-  core::PageSet pages;
-  pages.AddPage(std::move(*doc));
-  core::NodeSet extraction = wrapper.Extract(pages);
-  std::vector<std::string> values;
-  values.reserve(extraction.size());
-  for (const core::NodeRef& ref : extraction) {
-    const html::Node* node = pages.Resolve(ref);
-    if (node != nullptr) values.push_back(node->text());
-  }
-  return values;
-}
 
 /// Resolves the (site, attribute) pair from the query string against a
 /// snapshot. On failure fills `error` with the response to send.
@@ -163,8 +144,10 @@ void ExtractService::ExtractArray(const WrapperRepository::Entry& entry,
     metrics.pages_extracted->Add(shard, 1);
     metrics.values_extracted->Add(shard,
                                   static_cast<int64_t>(lease->values.size()));
-    ObserveDrift(entry, page_html, lease->values.data(),
-                 lease->values.size());
+    if (options_.self_heal) {
+      ObserveDrift(entry, shard, page_html, lease->values.data(),
+                   lease->values.size(), reinducer_);
+    }
     metrics.streaming_pages->Add(shard, 1);
     if (!entry.compiled->dom_free()) {
       // Fused XPath never Builds the StreamPage, so the tier counters
@@ -194,7 +177,7 @@ void ExtractService::ExtractArray(const WrapperRepository::Entry& entry,
     metrics.streaming_fallback_unstreamable_xpath->Add(shard, 1);
   }
   std::vector<std::string> values =
-      ExtractValuesInterpreted(*entry.wrapper, page_html);
+      core::ExtractValuesInterpreted(*entry.wrapper, page_html);
   metrics.extract_latency->Record(shard, MicrosSince(start));
   json.BeginArray();
   for (const std::string& value : values) json.String(value);
@@ -204,7 +187,10 @@ void ExtractService::ExtractArray(const WrapperRepository::Entry& entry,
   // The interpreted path already allocates per request; a small view
   // vector for the detector is in character.
   std::vector<std::string_view> views(values.begin(), values.end());
-  ObserveDrift(entry, page_html, views.data(), views.size());
+  if (options_.self_heal) {
+    ObserveDrift(entry, shard, page_html, views.data(), views.size(),
+                 reinducer_);
+  }
 }
 
 void ExtractService::ExtractAllToJson(
@@ -254,7 +240,10 @@ void ExtractService::ExtractAllToJson(
       metrics.pages_extracted->Add(shard, 1);
       metrics.values_extracted->Add(shard,
                                     static_cast<int64_t>(values.size()));
-      ObserveDrift(*entry, page_html, values.data(), values.size());
+      if (options_.self_heal) {
+        ObserveDrift(*entry, shard, page_html, values.data(), values.size(),
+                     reinducer_);
+      }
     }
   } else {
     for (const auto& [name, entry] : entries) {
@@ -263,28 +252,6 @@ void ExtractService::ExtractAllToJson(
     }
   }
   json.EndObject();
-}
-
-void ExtractService::ObserveDrift(const WrapperRepository::Entry& entry,
-                                  const std::string& page_html,
-                                  const std::string_view* values,
-                                  size_t count) const {
-  DriftState* state = entry.drift.get();
-  if (state == nullptr || !options_.self_heal || reinducer_ == nullptr) {
-    return;
-  }
-  DriftState::Action action =
-      state->Observe(options_.shard, values, count, page_html);
-  if (action != DriftState::Action::kReinduce) return;
-  DriftState::Sample sample = state->TakeSample();
-  ReinduceTask task;
-  task.site = state->site();
-  task.attribute = state->attribute();
-  task.incumbent_record = state->record();
-  task.pages = std::move(sample.pages);
-  task.dictionary = std::move(sample.dictionary);
-  task.state = entry.drift;
-  if (!reinducer_->Enqueue(std::move(task))) state->EnterCooldown();
 }
 
 HttpResponse ExtractService::Driftz() const {

@@ -103,12 +103,6 @@ class ExtractService {
       const std::vector<std::pair<std::string, const WrapperRepository::Entry*>>&
           entries,
       const std::string& page_html, obs::JsonWriter& json) const;
-  /// Scores one extraction against the entry's drift detector and hands
-  /// a full retention ring to the re-induction worker. No-op (one null
-  /// check) when self-healing is off.
-  void ObserveDrift(const WrapperRepository::Entry& entry,
-                    const std::string& page_html,
-                    const std::string_view* values, size_t count) const;
 
   const WrapperRepository* repository_;
   ThreadPool* pool_;

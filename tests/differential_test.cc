@@ -4,14 +4,15 @@
 //  1. StreamPage::Build (every tier) produces exactly the stream and text
 //     spans of the interpreter's flatten, heap html::Parse + text::CharView.
 //  2. CompiledWrapper::ExtractStreaming of XPath plans (the streaming
-//     executor) returns exactly the values of XPathWrapper::Extract +
-//     node->text() on the heap DOM.
+//     executor) returns exactly the values of the interpreted
+//     XPathWrapper (core::ExtractValuesInterpreted).
 //
 // The inputs are fixed-seed, so a failure reproduces; each one is printed
 // with its divergence. The run also asserts that the verbatim, patched and
 // flattened StreamPage tiers each occur.
 
 #include <array>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -100,12 +101,9 @@ class DifferentialTest : public ::testing::Test {
       ADD_FAILURE() << "parse failed: " << input;
       return false;
     }
-    core::PageSet pages;
-    pages.AddPage(std::move(*doc));
-    const html::Document& parsed = pages.page(0);
 
     // Check 1: StreamPage vs the interpreter's flatten.
-    text::CharView view(parsed);
+    text::CharView view(*doc);
     page_.Build(input);
     ++tiers_[static_cast<size_t>(page_.tier())];
     if (page_.stream() != view.stream()) {
@@ -128,11 +126,8 @@ class DifferentialTest : public ::testing::Test {
 
     // Check 2: streaming XPath vs the interpreted wrapper.
     for (const Plan& plan : plans_) {
-      std::vector<std::string> expected;
-      for (const core::NodeRef& ref : plan.wrapper->Extract(pages)) {
-        const html::Node* node = pages.Resolve(ref);
-        if (node != nullptr) expected.push_back(node->text());
-      }
+      std::vector<std::string> expected =
+          core::ExtractValuesInterpreted(*plan.wrapper, input);
       buffer_.Clear();
       plan.compiled->ExtractStreaming(input, buffer_, &buffer_.values);
       std::vector<std::string> actual(buffer_.values.begin(),

@@ -33,22 +33,6 @@
 namespace ntw {
 namespace {
 
-/// The interpreted reference: heap-parse one page, apply the wrapper,
-/// resolve the refs to text.
-std::vector<std::string> InterpretedValues(const core::Wrapper& wrapper,
-                                           const std::string& source) {
-  Result<html::Document> doc = html::Parse(source);
-  EXPECT_TRUE(doc.ok());
-  core::PageSet pages;
-  pages.AddPage(std::move(*doc));
-  std::vector<std::string> values;
-  for (const core::NodeRef& ref : wrapper.Extract(pages)) {
-    const html::Node* node = pages.Resolve(ref);
-    if (node != nullptr) values.push_back(node->text());
-  }
-  return values;
-}
-
 std::vector<std::string> FastValues(const core::CompiledWrapper& compiled,
                                     core::FastPageBuffer& buffer,
                                     const std::string& source) {
@@ -101,7 +85,7 @@ class FastPathEquivalenceTest : public ::testing::Test {
         std::string source =
             html::Serialize(site.site.pages.page(p).root());
         std::vector<std::string> interpreted =
-            InterpretedValues(*induction.wrapper, source);
+            core::ExtractValuesInterpreted(*induction.wrapper, source);
         EXPECT_EQ(FastValues(*compiled, buffer, source), interpreted)
             << "site " << site.site.name << " page " << p << " wrapper "
             << induction.wrapper->ToString();
@@ -153,7 +137,7 @@ TEST_F(FastPathEquivalenceTest, WrapperRoundTripThroughStoreStaysEquivalent) {
   for (size_t p = 0; p < site.site.pages.size(); ++p) {
     std::string source = html::Serialize(site.site.pages.page(p).root());
     EXPECT_EQ(FastValues(*compiled, buffer, source),
-              InterpretedValues(**loaded, source));
+              core::ExtractValuesInterpreted(**loaded, source));
   }
 }
 

@@ -45,20 +45,6 @@
 namespace ntw {
 namespace {
 
-std::vector<std::string> InterpretedValues(const core::Wrapper& wrapper,
-                                           const std::string& source) {
-  Result<html::Document> doc = html::Parse(source);
-  EXPECT_TRUE(doc.ok());
-  core::PageSet pages;
-  pages.AddPage(std::move(*doc));
-  std::vector<std::string> values;
-  for (const core::NodeRef& ref : wrapper.Extract(pages)) {
-    const html::Node* node = pages.Resolve(ref);
-    if (node != nullptr) values.push_back(node->text());
-  }
-  return values;
-}
-
 std::vector<std::string> DomFastValues(const core::CompiledWrapper& compiled,
                                        core::FastPageBuffer& buffer,
                                        const std::string& source) {
@@ -257,7 +243,8 @@ void ExpectThreeWayEqual(const core::Wrapper& wrapper,
   ASSERT_TRUE(compiled->dom_free());
   core::FastPageBuffer dom_buffer;
   core::StreamPageBuffer stream_buffer;
-  std::vector<std::string> interpreted = InterpretedValues(wrapper, source);
+  std::vector<std::string> interpreted =
+      core::ExtractValuesInterpreted(wrapper, source);
   EXPECT_EQ(interpreted, expected) << "interpreted, input: " << source;
   EXPECT_EQ(DomFastValues(*compiled, dom_buffer, source), expected)
       << "dom fast path, input: " << source;
@@ -369,7 +356,7 @@ TEST_P(StreamingSweepTest, SeededSitesAllPathsIdentical) {
         std::string source = html::Serialize(site.site.pages.page(p).root());
         ExpectStreamMatchesArena(source);
         std::vector<std::string> interpreted =
-            InterpretedValues(*induction.wrapper, source);
+            core::ExtractValuesInterpreted(*induction.wrapper, source);
         EXPECT_EQ(DomFastValues(*compiled, dom_buffer, source), interpreted)
             << "site " << site.site.name << " page " << p;
         EXPECT_EQ(StreamingValues(*compiled, stream_buffer, source),
@@ -440,7 +427,7 @@ void ExpectXPathThreeWay(const std::string& expr_text,
   ASSERT_TRUE(compiled->streamable()) << expr_text;
   core::FastPageBuffer dom_buffer;
   core::StreamPageBuffer stream_buffer;
-  EXPECT_EQ(InterpretedValues(wrapper, source), expected)
+  EXPECT_EQ(core::ExtractValuesInterpreted(wrapper, source), expected)
       << "interpreted, expr: " << expr_text;
   EXPECT_EQ(DomFastValues(*compiled, dom_buffer, source), expected)
       << "dom fast path, expr: " << expr_text;
