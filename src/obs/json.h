@@ -9,11 +9,12 @@
 namespace ntw::obs {
 
 /// Minimal streaming JSON emitter used by the observability exports
-/// (--metrics-json, --trace, ntw_bench). Commas and nesting are handled by
-/// an internal container stack; keys must be supplied for object members
-/// and must not be supplied inside arrays. Output is deterministic: the
-/// caller controls member order and doubles are formatted with a fixed
-/// `%.10g` so identical inputs always serialize to identical bytes.
+/// (--metrics-json, --trace) and the bench artifacts. Commas and nesting
+/// are handled by an internal container stack; keys must be supplied for
+/// object members and must not be supplied inside arrays. Output is
+/// deterministic: the caller controls member order and doubles are
+/// formatted with a fixed `%.10g` so identical inputs always serialize to
+/// identical bytes.
 class JsonWriter {
  public:
   JsonWriter() = default;

@@ -110,7 +110,7 @@ HistogramView SnapshotHistogram(const Histogram& histogram);
 /// the true order statistic in either direction (DESIGN.md §11) —
 /// reporting the bucket's upper bound instead biases every percentile
 /// high and can make p50 exceed the exact mean, which is computed from
-/// the untruncated sum. Shared by ntw_loadgen and bench_crawl.
+/// the untruncated sum. Used by ntw_loadgen.
 int64_t HistogramPercentile(const HistogramView& view, double q);
 
 /// Per-shard counter for the serving reactors: each shard increments its

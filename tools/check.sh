@@ -1,8 +1,8 @@
 #!/bin/sh
 # Tier-1 verification: build + ctest once normally, then once under
 # ThreadSanitizer (NTW_SANITIZE=thread) to vet the parallel enumeration
-# engine, then smoke runs of the bench runners and of the repository
-# benchmark (tools/perfbench_smoke.sh; its learn_dealers gate compares
+# engine, then smoke runs of the tools, the bench binaries and the
+# repository benchmark (tools/perfbench_smoke.sh; its learn_dealers gate compares
 # with .bench_build/perfbench-state/learn_dealers_seed1.ref from an
 # earlier run in this checkout — delete that file after a change that
 # alters the learned winners on purpose). Every stage must pass; each
@@ -29,13 +29,6 @@ cmake -B "$ROOT/build-tsan" -S "$ROOT" -DNTW_SANITIZE=thread || exit 1
 cmake --build "$ROOT/build-tsan" -j "$JOBS" || exit 1
 (cd "$ROOT/build-tsan" && ctest --output-on-failure -j "$JOBS" "$@") || {
   echo "check.sh: ThreadSanitizer ctest suite FAILED" >&2
-  FAILED=1
-}
-
-echo "==> ntw_bench smoke"
-"$ROOT/build/tools/ntw_bench" --smoke --repetitions 1 \
-    --out "$ROOT/build/BENCH_ntw.json" || {
-  echo "check.sh: ntw_bench smoke run FAILED" >&2
   FAILED=1
 }
 
@@ -87,13 +80,6 @@ echo "==> repo bench smoke (pack open vs eager load)"
 "$ROOT/build/bench/bench_repo" --smoke \
     --out "$ROOT/build/BENCH_repo.json" || {
   echo "check.sh: bench_repo smoke run FAILED" >&2
-  FAILED=1
-}
-
-echo "==> crawl bench smoke"
-"$ROOT/build/bench/bench_crawl" --smoke \
-    --out "$ROOT/build/BENCH_crawl.json" || {
-  echo "check.sh: bench_crawl smoke run FAILED" >&2
   FAILED=1
 }
 

@@ -16,8 +16,7 @@
 // requests/second tagged by plan kind and path, latency percentiles from
 // the ntw.serve.extract_latency_micros histogram, a speedups object
 // (streaming vs interpreted, per plan kind), peak RSS and machine
-// metadata, so serving-throughput regressions accumulate in-repo the
-// same way ntw_bench's learning benches do.
+// metadata.
 //
 // Before any timing, every (site, attribute, page) request is executed
 // through the streaming and interpreted service configurations
@@ -233,7 +232,7 @@ struct PhaseResult {
   double wall_seconds = 0.0;
   double requests_per_second = 0.0;
   // Throughput of every repetition; the other fields describe the best
-  // (highest-rps) one, matching ntw_bench's best-of-N convention.
+  // (highest-rps) one.
   std::vector<double> rps_reps;
   int64_t latency_count = 0;
   double latency_mean_micros = 0.0;
@@ -704,7 +703,7 @@ int Run(int argc, char** argv) {
 
   // Interleave all four phases across repetitions so slow drift in the
   // environment hits every phase alike; keep the best repetition of
-  // each, the same noise-rejection convention as ntw_bench.
+  // each to reject noise.
   struct PhaseSpec {
     const char* name;
     const char* plan_kind;
