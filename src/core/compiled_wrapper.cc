@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstring>
 
-#include "common/strings.h"
 #include "core/hlrt_inductor.h"
 #include "core/lr_inductor.h"
 #include "core/xpath_inductor.h"
@@ -206,8 +205,8 @@ void CompiledWrapper::ExtractStreaming(
     std::vector<std::string_view>* values) const {
   values->clear();
   if (kind_ == Kind::kXPath) {
-    // Fused tokenize→plan-execute; an unstreamable plan (>63 steps or
-    // empty) needs the DOM — callers route there.
+    // An unstreamable plan (>63 steps or empty) needs the DOM — callers
+    // route it to the interpreter.
     if (streamable_) ExtractXPathStreaming(raw_page, buffer, values);
     return;
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <iterator>
+#include <utility>
 
 #include "html/dom.h"
 #include "html/name_table.h"
@@ -47,27 +48,23 @@ bool Contains(const std::array<int32_t, N>& ids, int32_t id) {
   return std::find(ids.begin(), ids.end(), id) != ids.end();
 }
 
+// True when `tag` is in kSet. Expands to one comparison per name against a
+// constant of known length, as a hand-written `tag == "br" || ...` chain
+// would; a loop over the array compares through memcmp calls instead,
+// which costs StreamPage's scanner a measurable share of its time.
+template <const auto& kSet, size_t... I>
+bool IsOneOf(std::string_view tag, std::index_sequence<I...>) {
+  return ((tag == kSet[I]) || ...);
+}
+template <const auto& kSet>
+bool IsOneOf(std::string_view tag) {
+  return IsOneOf<kSet>(tag, std::make_index_sequence<std::size(kSet)>());
+}
+
 }  // namespace
 
 bool IsVoidElementTag(std::string_view tag) {
-  return std::find(std::begin(kVoidTags), std::end(kVoidTags), tag) !=
-         std::end(kVoidTags);
-}
-
-bool AppendCollapsedText(std::string_view text, std::string* out) {
-  size_t mark = out->size();
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && IsAsciiSpace(text[i])) ++i;
-    size_t run = i;
-    while (run < text.size() && !IsAsciiSpace(text[run])) ++run;
-    if (run > i) {
-      if (out->size() > mark) out->push_back(' ');
-      out->append(text.data() + i, run - i);
-      i = run;
-    }
-  }
-  return out->size() > mark;
+  return IsOneOf<kVoidTags>(tag);
 }
 
 bool OpenElementStack::CloseImpliedBy(std::string_view open,
@@ -96,17 +93,7 @@ bool OpenElementStack::CloseImpliedBy(std::string_view open,
 }
 
 bool OpenElementStack::MayBeImpliedClosed(std::string_view tag) {
-  return std::find(std::begin(kImpliedClosable), std::end(kImpliedClosable),
-                   tag) != std::end(kImpliedClosable);
-}
-
-size_t OpenElementStack::SizeAfterEndTag(std::string_view name) const {
-  for (size_t i = entries_.size(); i > 0; --i) {
-    std::string_view tag = entries_[i - 1].tag;
-    if (tag == name) return i - 1;
-    if (tag == "table") break;  // A stray end tag never closes past it.
-  }
-  return entries_.size();
+  return IsOneOf<kImpliedClosable>(tag);
 }
 
 StartTag InternStartTag(std::string_view name) {

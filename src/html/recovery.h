@@ -35,8 +35,23 @@ namespace ntw::html {
 /// Appends CollapseWhitespace(text) to `out`: runs of ASCII whitespace
 /// become one ' ', with none at either end. Returns true when anything
 /// was appended, that is, when `text` is not whitespace-only. Every
-/// consumer normalizes text nodes through this function.
-bool AppendCollapsedText(std::string_view text, std::string* out);
+/// consumer normalizes text nodes through this function; it is inline
+/// because StreamPage's scanner calls it for every text run it rewrites.
+inline bool AppendCollapsedText(std::string_view text, std::string* out) {
+  size_t mark = out->size();
+  size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && IsAsciiSpace(text[i])) ++i;
+    size_t run = i;
+    while (run < text.size() && !IsAsciiSpace(text[run])) ++run;
+    if (run > i) {
+      if (out->size() > mark) out->push_back(' ');
+      out->append(text.data() + i, run - i);
+      i = run;
+    }
+  }
+  return out->size() > mark;
+}
 
 /// The stack of open elements, innermost last.
 class OpenElementStack {
@@ -68,7 +83,14 @@ class OpenElementStack {
 
   /// The stack size once end tag `name` has closed the nearest open
   /// element of that name. Equal to size() when the end tag is dropped.
-  size_t SizeAfterEndTag(std::string_view name) const;
+  size_t SizeAfterEndTag(std::string_view name) const {
+    for (size_t i = entries_.size(); i > 0; --i) {
+      std::string_view tag = entries_[i - 1].tag;
+      if (tag == name) return i - 1;
+      if (tag == "table") break;  // A stray end tag never closes past it.
+    }
+    return entries_.size();
+  }
 
   /// Pops elements until `size` remain, calling on_close(tag) for each,
   /// innermost first.

@@ -73,7 +73,7 @@ class StreamPage {
   enum class Tier {
     kVerbatim,   // Zero-copy: stream() aliases the input.
     kPatched,    // Copy-on-write: clean chunks memcpyed, local patches.
-    kFlattened,  // Full fused tokenize→flatten rebuild.
+    kFlattened,  // Full rebuild by the recovery walk.
   };
 
   StreamPage() = default;

@@ -131,8 +131,8 @@ void ExtractService::ExtractArray(const WrapperRepository::Entry& entry,
   if (options_.fast_path && entry.compiled != nullptr &&
       entry.compiled->has_streaming_form()) {
     // Streaming no-DOM path: BMH over the StreamPage-built stream for
-    // dom_free() plans, the fused tokenize→plan-execute machine for
-    // streamable() XPath programs — neither builds an arena DOM. On the
+    // dom_free() plans, the streaming executor for streamable() XPath
+    // programs — neither builds a DOM. On the
     // zero-copy tier the values alias `page_html` directly — which
     // outlives the lease here.
     core::StreamBufferPool::Lease lease = stream_buffers_.Acquire();

@@ -34,10 +34,9 @@ namespace ntw::serve {
 /// oracle (DESIGN.md §12). By default a compiled plan from the
 /// repository snapshot runs without a DOM: dom_free() plans (LR/HLRT) go
 /// through StreamPage (zero-copy when the bytes are already canonical,
-/// copy-on-write patched or fused tokenize→flatten otherwise) and the
-/// stream matchers, and streamable() XPath plans run the fused
-/// tokenize→plan-execute machine straight off the tokenizer event
-/// stream. Everything else — TABLE wrappers, XPath programs outside the
+/// copy-on-write patched or flattened otherwise) and the stream
+/// matchers, and streamable() XPath plans run the streaming executor on
+/// the tag-soup recovery walk's events. Everything else — TABLE wrappers, XPath programs outside the
 /// streamable() bit budget — and every request under
 /// `Options{.fast_path = false}` (the daemon's --no-fast-path) runs the
 /// interpreted Wrapper::Extract over the heap DOM. Both paths are

@@ -9,7 +9,7 @@
 //
 //   delimiter_streaming    LR plans, streaming no-DOM path (DESIGN.md §12)
 //   delimiter_interpreted  LR plans, interpreted Wrapper::Extract
-//   xpath_streaming        XPATH plans, fused tokenize→plan-execute path
+//   xpath_streaming        XPATH plans, streaming executor
 //   xpath_interpreted      XPATH plans, interpreted Wrapper::Extract
 //
 // Emits a schema-versioned BENCH_serve.json (v5) with per-phase
