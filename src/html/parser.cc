@@ -25,6 +25,7 @@ class TreeBuilder {
 
   void OnText(std::string_view text) {
     std::string collapsed;
+    collapsed.reserve(text.size());
     AppendCollapsedText(text, &collapsed);
     open_.back()->AppendChild(Node::MakeText(std::move(collapsed)));
   }
