@@ -235,9 +235,8 @@ class CompiledWrapper {
 
   /// Streaming no-DOM execution over the raw request bytes: the stream
   /// matchers for dom_free() plans (LR/HLRT), the streaming executor for
-  /// streamable() XPath plans. An XPath plan
-  /// that is not streamable() yields no values — callers route those to
-  /// the interpreter.
+  /// streamable() XPath plans. An XPath plan that is not streamable()
+  /// yields no values — callers route those to the interpreter.
   void ExtractStreaming(std::string_view raw_page, StreamPageBuffer& buffer,
                         std::vector<std::string_view>* values) const;
 

@@ -48,23 +48,16 @@ bool Contains(const std::array<int32_t, N>& ids, int32_t id) {
   return std::find(ids.begin(), ids.end(), id) != ids.end();
 }
 
-// True when `tag` is in kSet. Expands to one comparison per name against a
-// constant of known length, as a hand-written `tag == "br" || ...` chain
-// would; a loop over the array compares through memcmp calls instead,
-// which costs StreamPage's scanner a measurable share of its time.
-template <const auto& kSet, size_t... I>
-bool IsOneOf(std::string_view tag, std::index_sequence<I...>) {
-  return ((tag == kSet[I]) || ...);
-}
-template <const auto& kSet>
-bool IsOneOf(std::string_view tag) {
-  return IsOneOf<kSet>(tag, std::make_index_sequence<std::size(kSet)>());
-}
-
 }  // namespace
 
 bool IsVoidElementTag(std::string_view tag) {
-  return IsOneOf<kVoidTags>(tag);
+  // One comparison per name against a constant of known length, as a
+  // hand-written `tag == "br" || ...` chain would be; a loop over the array
+  // compares through memcmp calls instead, which costs StreamPage's scanner
+  // (it asks on every start tag) a measurable share of its time.
+  return [tag]<size_t... I>(std::index_sequence<I...>) {
+    return ((tag == kVoidTags[I]) || ...);
+  }(std::make_index_sequence<std::size(kVoidTags)>());
 }
 
 bool OpenElementStack::CloseImpliedBy(std::string_view open,
@@ -90,10 +83,6 @@ bool OpenElementStack::CloseImpliedBy(std::string_view open,
   if (open == "dt" && (incoming == "dt" || incoming == "dd")) return true;
   if (open == "dd" && (incoming == "dt" || incoming == "dd")) return true;
   return false;
-}
-
-bool OpenElementStack::MayBeImpliedClosed(std::string_view tag) {
-  return IsOneOf<kImpliedClosable>(tag);
 }
 
 StartTag InternStartTag(std::string_view name) {

@@ -60,12 +60,12 @@ class OpenElementStack {
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
 
-  /// Pushes an element named `tag` (lowercase). The view must stay valid
-  /// while the element is open.
-  void Push(std::string_view tag) { Push(tag, MayBeImpliedClosed(tag)); }
-  /// Push with the implied-close class already known (WalkTagSoup looks
-  /// it up by interned id).
-  void Push(std::string_view tag, bool may_be_implied_closed) {
+  /// Pushes an element named `tag` (lowercase); the view must stay valid
+  /// while the element is open. `may_be_implied_closed` = false promises
+  /// that no start tag implies its close, so SizeAfterStartTag skips the
+  /// rule check (WalkTagSoup knows this by interned id). A caller that
+  /// does not classify leaves the decision to the rule itself.
+  void Push(std::string_view tag, bool may_be_implied_closed = true) {
     entries_.push_back({tag, may_be_implied_closed});
   }
   void Pop() { entries_.pop_back(); }
@@ -105,15 +105,15 @@ class OpenElementStack {
  private:
   struct Entry {
     std::string_view tag;
-    // CloseImpliedBy(tag, x) holds for some x. False for every element
-    // an implied close must not cross (table, ul, div, body, ...).
+    // False only when CloseImpliedBy(tag, x) fails for every x, as it does
+    // for every element an implied close must not cross (table, ul, div,
+    // body, ...).
     bool may_be_implied_closed;
   };
 
   /// True when an open <`open`> is implicitly closed by start tag
   /// <`incoming`>.
   static bool CloseImpliedBy(std::string_view open, std::string_view incoming);
-  static bool MayBeImpliedClosed(std::string_view tag);
 
   std::vector<Entry> entries_;
 };
