@@ -363,7 +363,7 @@ bool StreamPage::BuildVerbatim(std::string_view in) {
       pos = p;
       continue;
     }
-    open.Push(name);  // Unclassified: CloseImpliedBy decides each time.
+    open.Push(name);  // Unclassified: the implied-close rule decides.
 
     if (IsRawTextTag(name)) {
       // Raw-text content runs to the matching "</name" with a '>' or
