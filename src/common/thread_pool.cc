@@ -48,20 +48,26 @@ struct LoopState {
   std::condition_variable done_cv;
   std::exception_ptr error;  // Guarded by mu; first failure wins.
 
-  /// Claims indices until the range is drained. Returns after contributing
-  /// its share of completions.
-  void Drain() {
-    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+  /// Runs index `i`, then claims indices until the range is drained.
+  /// Returns how many it ran, for Complete().
+  size_t Drain(size_t i) {
+    size_t ran = 0;
+    for (; i < n; i = next.fetch_add(1), ++ran) {
       try {
         (*fn)(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(mu);
         if (!error) error = std::current_exception();
       }
-      if (completed.fetch_add(1) + 1 == n) {
-        std::lock_guard<std::mutex> lock(mu);
-        done_cv.notify_all();
-      }
+    }
+    return ran;
+  }
+
+  /// Counts `ran` indices done; the last one wakes the ParallelFor caller.
+  void Complete(size_t ran) {
+    if (completed.fetch_add(ran) + ran == n) {
+      std::lock_guard<std::mutex> lock(mu);
+      done_cv.notify_all();
     }
   }
 };
@@ -124,10 +130,19 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     std::lock_guard<std::mutex> lock(mu_);
     for (size_t i = 0; i < helpers; ++i) {
       // The helper span records this worker's share of the loop — the
-      // per-thread pool activity view of the trace.
+      // per-thread pool activity view of the trace. It opens only once
+      // the helper holds an index and closes before Complete(), so no
+      // span is written after ParallelFor returns (the Tracer's
+      // quiescent point).
       queue_.push_back([state] {
-        obs::Span span("pool.drain");
-        state->Drain();
+        size_t first = state->next.fetch_add(1);
+        if (first >= state->n) return;
+        size_t ran = 0;
+        {
+          obs::Span span("pool.drain");
+          ran = state->Drain(first);
+        }
+        state->Complete(ran);
       });
     }
   }
@@ -137,7 +152,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   // saturated and guarantees progress even if every worker is busy.
   bool was_in_pool_work = t_in_pool_work;
   t_in_pool_work = true;
-  state->Drain();
+  state->Complete(state->Drain(state->next.fetch_add(1)));
   t_in_pool_work = was_in_pool_work;
 
   std::unique_lock<std::mutex> lock(state->mu);

@@ -100,59 +100,6 @@ std::shared_ptr<const CompiledWrapper> CompiledWrapper::Compile(
   return nullptr;  // Unknown kind: caller falls back to the interpreter.
 }
 
-std::shared_ptr<const CompiledWrapper> CompiledWrapper::MakeLr(
-    std::string left, std::string right) {
-  auto plan = std::make_shared<CompiledWrapper>();
-  plan->kind_ = Kind::kLr;
-  plan->left_ = std::move(left);
-  plan->right_ = std::move(right);
-  plan->left_searcher_ = StringSearcher(plan->left_);
-  return plan;
-}
-
-std::shared_ptr<const CompiledWrapper> CompiledWrapper::MakeHlrt(
-    std::string head, std::string tail, std::string left, std::string right) {
-  auto plan = std::make_shared<CompiledWrapper>();
-  plan->kind_ = Kind::kHlrt;
-  plan->head_ = std::move(head);
-  plan->tail_ = std::move(tail);
-  plan->left_ = std::move(left);
-  plan->right_ = std::move(right);
-  plan->head_searcher_ = StringSearcher(plan->head_);
-  plan->tail_searcher_ = StringSearcher(plan->tail_);
-  plan->left_searcher_ = StringSearcher(plan->left_);
-  return plan;
-}
-
-std::shared_ptr<const CompiledWrapper> CompiledWrapper::MakeXPath(
-    const std::vector<XPathStepSpec>& steps) {
-  auto plan = std::make_shared<CompiledWrapper>();
-  plan->kind_ = Kind::kXPath;
-  for (const XPathStepSpec& spec : steps) {
-    StepOp op;
-    op.descendant = spec.descendant;
-    switch (spec.test) {
-      case XPathStepSpec::Test::kText:
-        op.is_text = true;
-        break;
-      case XPathStepSpec::Test::kAnyElement:
-        op.any_element = true;
-        break;
-      case XPathStepSpec::Test::kTag:
-        op.tag_id = html::NameTable::Global().Intern(spec.tag).id;
-        break;
-    }
-    op.child_number = spec.child_number;
-    for (const auto& [name, value] : spec.attr_filters) {
-      op.attr_filters.push_back(
-          {html::NameTable::Global().Intern(name).id, name, value});
-    }
-    plan->steps_.push_back(std::move(op));
-  }
-  plan->FinalizeXPath();
-  return plan;
-}
-
 void CompiledWrapper::FinalizeXPath() {
   // Bitset budget: bit j means "matched the first j steps" (bit 0 is the
   // document root's free match), so a program needs steps_.size() + 1

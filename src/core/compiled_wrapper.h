@@ -200,35 +200,12 @@ using StreamBufferPool = BufferPool<StreamPageBuffer>;
 /// the raw input); consume them before releasing either.
 class CompiledWrapper {
  public:
-  /// Compiles `wrapper` (an XPathWrapper, LrWrapper or HlrtWrapper).
+  /// Compiles `wrapper` (an XPathWrapper, LrWrapper or HlrtWrapper) — the
+  /// one plan compiler, for every repository backend alike.
   /// Returns nullptr for wrapper kinds without a compiled form — callers
   /// fall back to the interpreted path.
   static std::shared_ptr<const CompiledWrapper> Compile(
       const Wrapper& wrapper);
-
-  /// One XPath step in source form, for building a plan without going
-  /// through the parsed Wrapper (the wrapper-pack finalize path). The
-  /// fields mirror xpath::Step; Compile() and MakeXPath() produce
-  /// identical plans for the same steps.
-  struct XPathStepSpec {
-    bool descendant = false;
-    enum class Test { kTag, kAnyElement, kText };
-    Test test = Test::kTag;
-    std::string tag;            // Test::kTag only
-    int32_t child_number = -1;  // -1 = no filter
-    std::vector<std::pair<std::string, std::string>> attr_filters;
-  };
-
-  /// Direct constructors for the pack's fixed-layout plans — bitwise the
-  /// same plans Compile() builds from the equivalent Wrapper.
-  static std::shared_ptr<const CompiledWrapper> MakeLr(std::string left,
-                                                       std::string right);
-  static std::shared_ptr<const CompiledWrapper> MakeHlrt(std::string head,
-                                                         std::string tail,
-                                                         std::string left,
-                                                         std::string right);
-  static std::shared_ptr<const CompiledWrapper> MakeXPath(
-      const std::vector<XPathStepSpec>& steps);
 
   void Extract(FastPageBuffer& buffer,
                std::vector<std::string_view>* values) const;

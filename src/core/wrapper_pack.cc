@@ -10,11 +10,7 @@
 #include <cstring>
 
 #include "common/strings.h"
-#include "core/hlrt_inductor.h"
-#include "core/lr_inductor.h"
 #include "core/wrapper_store.h"
-#include "core/xpath_inductor.h"
-#include "xpath/ast.h"
 
 namespace ntw::core {
 
@@ -33,45 +29,6 @@ uint64_t Fnv1a(const void* data, size_t size, uint64_t seed = 0xcbf29ce484222325
 void AppendRaw(std::string* out, const void* data, size_t size) {
   out->append(static_cast<const char*>(data), size);
 }
-
-void AppendU32(std::string* out, uint32_t v) { AppendRaw(out, &v, sizeof(v)); }
-
-void AppendRef(std::string* out, PackStrRef ref) {
-  AppendRaw(out, &ref, sizeof(ref));
-}
-
-void PadTo8(std::string* out) {
-  while (out->size() % 8 != 0) out->push_back('\0');
-}
-
-// XPath step flags in the plan blob.
-constexpr uint32_t kStepDescendant = 1u << 0;
-constexpr uint32_t kStepTestShift = 8;  // bits 8..9: 0 tag, 1 any, 2 text
-constexpr uint32_t kStepTestMask = 3u << kStepTestShift;
-
-// Bounded little cursor for decoding plan blobs.
-struct Cursor {
-  const char* p;
-  const char* end;
-  bool ok = true;
-
-  uint32_t U32() {
-    if (!ok || end - p < 4) {
-      ok = false;
-      return 0;
-    }
-    uint32_t v;
-    std::memcpy(&v, p, 4);
-    p += 4;
-    return v;
-  }
-  PackStrRef Ref() {
-    PackStrRef ref;
-    ref.off = U32();
-    ref.len = U32();
-    return ref;
-  }
-};
 
 }  // namespace
 
@@ -115,7 +72,6 @@ std::string WrapperPackBuilder::Build() const {
     return interned.emplace(std::string(s), ref).first->second;
   };
 
-  std::string plans;
   std::vector<PackSiteRec> site_recs;
   std::vector<PackEntryRec> entry_recs;
 
@@ -124,59 +80,11 @@ std::string WrapperPackBuilder::Build() const {
     srec.name = intern(site);
     srec.entry_begin = static_cast<uint32_t>(entry_recs.size());
     srec.entry_count = static_cast<uint32_t>(attrs.size());
-
     for (const auto& [attribute, record] : attrs) {
-      PackEntryRec erec{};
-      erec.attribute = intern(attribute);
-      erec.record = intern(record);
-
-      auto parsed = DeserializeWrapper(record);
-      // Add() already validated; a failure here means the caller mutated
-      // state between Add and Build — encode as plan-less.
-      const Wrapper* w = parsed.ok() ? parsed.value().get() : nullptr;
-      erec.plan_off = plans.size();  // Relative; rebased below.
-      if (const auto* lr = dynamic_cast<const LrWrapper*>(w)) {
-        erec.plan_kind = kPackPlanLr;
-        AppendRef(&plans, intern(lr->left()));
-        AppendRef(&plans, intern(lr->right()));
-      } else if (const auto* h = dynamic_cast<const HlrtWrapper*>(w)) {
-        erec.plan_kind = kPackPlanHlrt;
-        AppendRef(&plans, intern(h->head()));
-        AppendRef(&plans, intern(h->tail()));
-        AppendRef(&plans, intern(h->left()));
-        AppendRef(&plans, intern(h->right()));
-      } else if (const auto* x = dynamic_cast<const XPathWrapper*>(w)) {
-        erec.plan_kind = kPackPlanXPath;
-        const auto& steps = x->expr().steps;
-        AppendU32(&plans, static_cast<uint32_t>(steps.size()));
-        for (const xpath::Step& step : steps) {
-          uint32_t flags = 0;
-          if (step.axis == xpath::Axis::kDescendant) flags |= kStepDescendant;
-          uint32_t test = 0;
-          if (step.test == xpath::NodeTest::kAnyElement) test = 1;
-          if (step.test == xpath::NodeTest::kText) test = 2;
-          flags |= test << kStepTestShift;
-          AppendU32(&plans, flags);
-          AppendU32(&plans,
-                    static_cast<uint32_t>(step.child_number.value_or(-1)));
-          AppendRef(&plans, step.test == xpath::NodeTest::kTag
-                                ? intern(step.tag)
-                                : PackStrRef{});
-          AppendU32(&plans, static_cast<uint32_t>(step.attr_filters.size()));
-          for (const auto& [name, value] : step.attr_filters) {
-            AppendRef(&plans, intern(name));
-            AppendRef(&plans, intern(value));
-          }
-        }
-      } else {
-        erec.plan_kind = kPackPlanNone;
-      }
-      erec.plan_len = plans.size() - erec.plan_off;
-      entry_recs.push_back(erec);
+      entry_recs.push_back(PackEntryRec{intern(attribute), intern(record)});
     }
     site_recs.push_back(srec);
   }
-  PadTo8(&plans);
 
   PackHeader header{};
   std::memcpy(header.magic, kPackMagic, sizeof(header.magic));
@@ -186,13 +94,9 @@ std::string WrapperPackBuilder::Build() const {
   header.entry_count = entry_recs.size();
   header.sites_off = sizeof(PackHeader);
   header.entries_off = header.sites_off + site_recs.size() * sizeof(PackSiteRec);
-  header.plans_off = header.entries_off + entry_recs.size() * sizeof(PackEntryRec);
-  header.plans_len = plans.size();
-  header.strtab_off = header.plans_off + plans.size();
+  header.strtab_off = header.entries_off + entry_recs.size() * sizeof(PackEntryRec);
   header.strtab_len = strtab.size();
   header.file_size = header.strtab_off + strtab.size();
-
-  for (PackEntryRec& erec : entry_recs) erec.plan_off += header.plans_off;
 
   std::string body;
   body.reserve(static_cast<size_t>(header.file_size) - sizeof(PackHeader));
@@ -202,7 +106,6 @@ std::string WrapperPackBuilder::Build() const {
   for (const PackEntryRec& erec : entry_recs) {
     AppendRaw(&body, &erec, sizeof(erec));
   }
-  body.append(plans);
   body.append(strtab);
 
   header.body_checksum = Fnv1a(body.data(), body.size());
@@ -270,8 +173,8 @@ Result<std::shared_ptr<const WrapperPack>> WrapperPack::Open(
   const PackHeader& h = pack->header_;
 
   if (std::memcmp(h.magic, kPackMagic, sizeof(kPackMagic)) != 0) {
-    // Same family, other format revision (an NTWPACK1 file): name both
-    // formats rather than report "bad magic", so the fix is obvious.
+    // Same family, other format revision (NTWPACK1 or NTWPACK2): name
+    // both formats rather than report "bad magic", so the fix is obvious.
     if (std::memcmp(h.magic, kPackMagic, sizeof(kPackMagic) - 1) == 0) {
       return Status::ParseError(StrFormat(
           "pack: %s: format %.8s, expected %.8s (rebuild it with ntw_pack "
@@ -301,6 +204,16 @@ Result<std::shared_ptr<const WrapperPack>> WrapperPack::Open(
   if (Fnv1a(&check, sizeof(check)) != h.header_checksum) {
     return Status::ParseError(
         StrFormat("pack: %s: header checksum mismatch", path.c_str()));
+  }
+  // Sections inside the file bound every count an accessor loops over.
+  auto fits = [size](uint64_t off, uint64_t count, uint64_t width) {
+    return off <= size && count <= (size - off) / width;
+  };
+  if (!fits(h.sites_off, h.site_count, sizeof(PackSiteRec)) ||
+      !fits(h.entries_off, h.entry_count, sizeof(PackEntryRec)) ||
+      !fits(h.strtab_off, h.strtab_len, 1)) {
+    return Status::ParseError(
+        StrFormat("pack: %s: sections exceed the file", path.c_str()));
   }
   // Deliberately no body walk here: Open stays O(mmap) so a million-site
   // pack opens without touching its directory pages. Accessors bounds-
@@ -353,74 +266,6 @@ std::string_view WrapperPack::EntryView::record() const {
   return pack_->Str(rec_.record);
 }
 
-std::shared_ptr<const CompiledWrapper> WrapperPack::EntryView::CompilePlan()
-    const {
-  std::string_view blob = pack_->Bytes(rec_.plan_off, rec_.plan_len);
-  if (blob.size() != rec_.plan_len) return nullptr;
-  Cursor cur{blob.data(), blob.data() + blob.size()};
-  auto str = [&](PackStrRef ref, std::string* out) {
-    std::string_view s = pack_->Str(ref);
-    if (s.size() != ref.len) {
-      cur.ok = false;
-      return;
-    }
-    out->assign(s);
-  };
-  switch (rec_.plan_kind) {
-    case kPackPlanLr: {
-      std::string left, right;
-      str(cur.Ref(), &left);
-      str(cur.Ref(), &right);
-      if (!cur.ok || cur.p != cur.end) return nullptr;
-      return CompiledWrapper::MakeLr(std::move(left), std::move(right));
-    }
-    case kPackPlanHlrt: {
-      std::string head, tail, left, right;
-      str(cur.Ref(), &head);
-      str(cur.Ref(), &tail);
-      str(cur.Ref(), &left);
-      str(cur.Ref(), &right);
-      if (!cur.ok || cur.p != cur.end) return nullptr;
-      return CompiledWrapper::MakeHlrt(std::move(head), std::move(tail),
-                                       std::move(left), std::move(right));
-    }
-    case kPackPlanXPath: {
-      uint32_t count = cur.U32();
-      if (count > (1u << 20)) return nullptr;  // Corruption guard.
-      std::vector<CompiledWrapper::XPathStepSpec> specs;
-      specs.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        CompiledWrapper::XPathStepSpec spec;
-        uint32_t flags = cur.U32();
-        spec.descendant = (flags & kStepDescendant) != 0;
-        uint32_t test = (flags & kStepTestMask) >> kStepTestShift;
-        spec.test = test == 1   ? CompiledWrapper::XPathStepSpec::Test::kAnyElement
-                    : test == 2 ? CompiledWrapper::XPathStepSpec::Test::kText
-                                : CompiledWrapper::XPathStepSpec::Test::kTag;
-        spec.child_number = static_cast<int32_t>(cur.U32());
-        PackStrRef tag = cur.Ref();
-        if (spec.test == CompiledWrapper::XPathStepSpec::Test::kTag) {
-          str(tag, &spec.tag);
-        }
-        uint32_t attr_count = cur.U32();
-        if (attr_count > (1u << 20)) return nullptr;
-        for (uint32_t a = 0; cur.ok && a < attr_count; ++a) {
-          std::string name, value;
-          str(cur.Ref(), &name);
-          str(cur.Ref(), &value);
-          spec.attr_filters.emplace_back(std::move(name), std::move(value));
-        }
-        if (!cur.ok) return nullptr;
-        specs.push_back(std::move(spec));
-      }
-      if (!cur.ok || cur.p != cur.end) return nullptr;
-      return CompiledWrapper::MakeXPath(specs);
-    }
-    default:
-      return nullptr;
-  }
-}
-
 std::string_view WrapperPack::SiteView::name() const {
   return pack_->Str(rec_.name);
 }
@@ -435,10 +280,21 @@ std::optional<WrapperPack::EntryView> WrapperPack::SiteView::entry(
   return EntryView(pack_, erec);
 }
 
+std::optional<WrapperPack::SiteView> WrapperPack::ViewOf(
+    PackSiteRec rec) const {
+  // Open() bounded entry_count by the file size, so a view's entry loop
+  // is bounded too; a count past the directory would otherwise spin
+  // through up to 2^32 failed reads on every lookup.
+  if (uint64_t{rec.entry_begin} + rec.entry_count > header_.entry_count) {
+    return std::nullopt;
+  }
+  return SiteView(this, rec);
+}
+
 std::optional<WrapperPack::SiteView> WrapperPack::site(size_t index) const {
   PackSiteRec rec;
   if (!ReadSite(index, &rec)) return std::nullopt;
-  return SiteView(this, rec);
+  return ViewOf(rec);
 }
 
 std::optional<WrapperPack::SiteView> WrapperPack::FindSite(
@@ -455,7 +311,7 @@ std::optional<WrapperPack::SiteView> WrapperPack::FindSite(
     } else if (name < mid_name) {
       hi = mid;
     } else {
-      return SiteView(this, rec);
+      return ViewOf(rec);
     }
   }
   return std::nullopt;
@@ -467,7 +323,6 @@ std::optional<WrapperPack::EntryView> WrapperPack::FindEntry(
   if (!sv.has_value()) return std::nullopt;
   uint64_t lo = sv->rec_.entry_begin;
   uint64_t hi = lo + sv->rec_.entry_count;
-  if (hi < lo) return std::nullopt;  // Overflowed count: corrupt.
   while (lo < hi) {
     uint64_t mid = lo + (hi - lo) / 2;
     PackEntryRec rec;
@@ -494,20 +349,19 @@ Status WrapperPack::Verify() const {
   }
   // Strongest structural check available: rebuild the pack from its own
   // records and require bitwise identity — Build() is deterministic, so
-  // any divergence in directories, plan blobs, interning, or padding
-  // shows up as a mismatch.
+  // any divergence in directories, interning, or section offsets shows
+  // up as a mismatch.
   WrapperPackBuilder builder;
   for (uint64_t s = 0; s < h.site_count; ++s) {
-    PackSiteRec srec;
-    if (!ReadSite(s, &srec)) {
-      return Status::ParseError(
-          StrFormat("pack: %s: site %llu unreadable", path_.c_str(),
-                    static_cast<unsigned long long>(s)));
+    auto view = site(static_cast<size_t>(s));
+    if (!view.has_value()) {
+      return Status::ParseError(StrFormat(
+          "pack: %s: site %llu unreadable or out of range", path_.c_str(),
+          static_cast<unsigned long long>(s)));
     }
-    SiteView view(this, srec);
-    std::string site_name(view.name());
-    for (size_t e = 0; e < view.entry_count(); ++e) {
-      auto entry = view.entry(e);
+    std::string site_name(view->name());
+    for (size_t e = 0; e < view->entry_count(); ++e) {
+      auto entry = view->entry(e);
       if (!entry.has_value()) {
         return Status::ParseError(
             StrFormat("pack: %s: entry %zu of site %s unreadable",
@@ -516,13 +370,6 @@ Status WrapperPack::Verify() const {
       Status added = builder.Add(site_name, std::string(entry->attribute()),
                                  std::string(entry->record()));
       if (!added.ok()) return added;
-      if (entry->plan_kind() != kPackPlanNone &&
-          entry->CompilePlan() == nullptr) {
-        return Status::ParseError(StrFormat(
-            "pack: %s: undecodable plan for %s/%.*s", path_.c_str(),
-            site_name.c_str(), static_cast<int>(entry->attribute().size()),
-            entry->attribute().data()));
-      }
     }
   }
   std::string rebuilt = builder.Build();

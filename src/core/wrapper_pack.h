@@ -10,35 +10,36 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/compiled_wrapper.h"
 
 namespace ntw::core {
 
 /// The wrapper pack (DESIGN.md §15): a single file holding an entire
-/// wrapper repository — interned string table, fixed-layout compiled
-/// plans (offset-based, no pointers) and a sorted per-site directory —
-/// laid out so the serving daemon opens it with one mmap and pages cold
-/// sites in on demand. Produced by `ntw_pack build` from a
-/// `<site>/<attr>.wrapper` directory; consumed by WrapperRepository's
-/// pack backend.
+/// wrapper repository — interned string table and a sorted per-site
+/// directory of serialized wrapper records — laid out so the serving
+/// daemon opens it with one mmap and pages cold sites in on demand.
+/// Produced by `ntw_pack build` from a `<site>/<attr>.wrapper` directory;
+/// consumed by WrapperRepository's pack backend, which compiles each
+/// record it materializes with CompiledWrapper::Compile, as the
+/// directory backend does.
 ///
-/// File layout (NTWPACK2; little/native-endian, guarded by an endian
+/// File layout (NTWPACK3; little/native-endian, guarded by an endian
 /// stamp):
 ///
 ///   PackHeader                      (checksummed; validated at Open)
 ///   site directory  [site_count]    sorted by name
 ///   entry directory [entry_count]   sorted by (site, attribute)
-///   plans section                   fixed-layout plan blobs
 ///   string table                    deduplicated bytes
 ///
 /// Open() validates only the header (magic, version, endian, size,
-/// header checksum) — O(mmap), no body pages touched, which is what
-/// makes cold RSS sublinear in site count. It rejects NTWPACK1 files
-/// with a message naming the format; rebuild them with `ntw_pack build`.
-/// Every accessor bounds-checks the refs it follows, so a pack whose
-/// body is corrupt can return wrong or missing entries but can never
-/// read outside the mapping. `ntw_pack verify` (Verify()) does the full
-/// job: body checksum + structural walk + plan cross-checks.
+/// section bounds, header checksum) — O(mmap), no body pages touched,
+/// which is what makes cold RSS sublinear in site count. It rejects
+/// NTWPACK1 and NTWPACK2 files with a message naming the format; rebuild
+/// them with `ntw_pack build`. Every accessor bounds-checks the refs it
+/// follows, and a site whose entry range leaves the entry directory is a
+/// miss, so a pack whose body is corrupt can return wrong or missing
+/// entries but can never read outside the mapping or loop past it.
+/// `ntw_pack verify` (Verify()) does the full job: body checksum +
+/// canonical rebuild.
 
 /// Offset+length into the pack's string table.
 struct PackStrRef {
@@ -46,16 +47,8 @@ struct PackStrRef {
   uint32_t len = 0;
 };
 
-/// Plan kinds stored in entry records.
-enum PackPlanKind : uint32_t {
-  kPackPlanXPath = 0,
-  kPackPlanLr = 1,
-  kPackPlanHlrt = 2,
-  kPackPlanNone = 3,  // Record present, no compiled form (interpreter only).
-};
-
 struct PackHeader {
-  char magic[8];            // "NTWPACK2"
+  char magic[8];            // "NTWPACK3"
   uint32_t version;         // kPackVersion
   uint32_t endian;          // kPackEndian as written by the producer
   uint64_t file_size;       // Total bytes; must equal the mapped size.
@@ -65,12 +58,10 @@ struct PackHeader {
   uint64_t entry_count;
   uint64_t sites_off;
   uint64_t entries_off;
-  uint64_t plans_off;
-  uint64_t plans_len;
   uint64_t strtab_off;
   uint64_t strtab_len;
 };
-static_assert(sizeof(PackHeader) == 104, "fixed on-disk layout");
+static_assert(sizeof(PackHeader) == 88, "fixed on-disk layout");
 
 struct PackSiteRec {
   PackStrRef name;
@@ -82,19 +73,15 @@ static_assert(sizeof(PackSiteRec) == 16, "fixed on-disk layout");
 struct PackEntryRec {
   PackStrRef attribute;
   PackStrRef record;       // Serialized wrapper (wrapper_store format).
-  uint32_t plan_kind;      // PackPlanKind
-  uint32_t reserved;       // Zero; keeps plan_off 8-aligned.
-  uint64_t plan_off;       // Absolute file offset of the plan blob.
-  uint64_t plan_len;
 };
-static_assert(sizeof(PackEntryRec) == 40, "fixed on-disk layout");
+static_assert(sizeof(PackEntryRec) == 16, "fixed on-disk layout");
 
-inline constexpr char kPackMagic[8] = {'N', 'T', 'W', 'P', 'A', 'C', 'K', '2'};
-inline constexpr uint32_t kPackVersion = 2;
+inline constexpr char kPackMagic[8] = {'N', 'T', 'W', 'P', 'A', 'C', 'K', '3'};
+inline constexpr uint32_t kPackVersion = 3;
 inline constexpr uint32_t kPackEndian = 0x01020304;
 
 /// Accumulates (site, attribute, record) triples and serializes the pack.
-/// Records are validated (deserialized + plan-compiled) at Add time.
+/// Records are validated (deserialized) at Add time.
 class WrapperPackBuilder {
  public:
   Status Add(const std::string& site, const std::string& attribute,
@@ -117,14 +104,15 @@ class WrapperPackBuilder {
 };
 
 /// A read-only mapped pack. Thread-safe: all state is immutable after
-/// Open. Keep the shared_ptr alive for as long as any view, record
-/// string_view, or plan built from it is in use (plans copy their
-/// delimiters, but record/attribute views alias the mapping).
+/// Open. Keep the shared_ptr alive for as long as any view or record
+/// string_view from it is in use (record/attribute views alias the
+/// mapping).
 class WrapperPack {
  public:
   /// mmaps `path` and validates the header. Fails (never crashes) on
-  /// short files, bad magic/version/endian (an NTWPACK1 file included),
-  /// size mismatch, or header checksum mismatch.
+  /// short files, bad magic/version/endian (NTWPACK1 and NTWPACK2 files
+  /// included), size mismatch, sections outside the file, or header
+  /// checksum mismatch.
   static Result<std::shared_ptr<const WrapperPack>> Open(
       const std::string& path);
 
@@ -134,18 +122,12 @@ class WrapperPack {
 
   class SiteView;
 
-  /// One (site, attribute) entry. Accessors return empty views / nullptr
-  /// when the underlying refs are out of bounds (corrupt body).
+  /// One (site, attribute) entry. Accessors return empty views when the
+  /// underlying refs are out of bounds (corrupt body).
   class EntryView {
    public:
     std::string_view attribute() const;
     std::string_view record() const;
-    uint32_t plan_kind() const { return rec_.plan_kind; }
-
-    /// Reconstructs the compiled plan from the fixed-layout blob —
-    /// bitwise the plan CompiledWrapper::Compile builds from the same
-    /// record. nullptr for kPackPlanNone or a malformed blob.
-    std::shared_ptr<const CompiledWrapper> CompilePlan() const;
 
    private:
     friend class WrapperPack;
@@ -155,6 +137,8 @@ class WrapperPack {
     PackEntryRec rec_;
   };
 
+  /// A site whose entry range lies inside the entry directory; site() and
+  /// FindSite() build no other.
   class SiteView {
    public:
     std::string_view name() const;
@@ -176,10 +160,11 @@ class WrapperPack {
   std::optional<EntryView> FindEntry(std::string_view site,
                                      std::string_view attribute) const;
 
-  /// Full validation: body checksum, directory sortedness and bounds,
-  /// every record deserializable, every plan blob decodable and
-  /// consistent with its record. Touches every page (ntw_pack verify —
-  /// never on the serving open path).
+  /// Full validation: body checksum, every site's entry range in bounds,
+  /// every record deserializable, and a canonical rebuild from the
+  /// records that must equal the file byte for byte (which also pins
+  /// directory order and interning). Touches every page (ntw_pack verify
+  /// — never on the serving open path).
   Status Verify() const;
 
   const std::string& path() const { return path_; }
@@ -191,6 +176,9 @@ class WrapperPack {
 
   std::string_view Str(PackStrRef ref) const;
   std::string_view Bytes(uint64_t off, uint64_t len) const;
+  // The view of a site record, or nullopt when its entry range leaves
+  // the entry directory.
+  std::optional<SiteView> ViewOf(PackSiteRec rec) const;
   bool ReadSite(uint64_t index, PackSiteRec* rec) const;
   bool ReadEntry(uint64_t index, PackEntryRec* rec) const;
 

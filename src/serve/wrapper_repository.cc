@@ -86,12 +86,19 @@ std::pair<uint64_t, uint64_t> StatFile(const std::string& path) {
   return {mtime, size};
 }
 
-std::string StripRecord(std::string_view record) {
+/// How a wrapper record becomes a servable entry, for the directory scan
+/// and the pack materializer alike: strip the file's trailing newline,
+/// parse, compile.
+Result<WrapperRepository::Entry> EntryFromRecord(std::string_view record) {
   while (!record.empty() &&
          (record.back() == '\n' || record.back() == '\r')) {
     record.remove_suffix(1);
   }
-  return std::string(record);
+  WrapperRepository::Entry entry;
+  entry.record = std::string(record);
+  NTW_ASSIGN_OR_RETURN(entry.wrapper, core::DeserializeWrapper(entry.record));
+  entry.compiled = core::CompiledWrapper::Compile(*entry.wrapper);
+  return entry;
 }
 
 /// Every /extract response member before "values" is fixed per entry
@@ -179,17 +186,9 @@ const WrapperRepository::Entry* WrapperRepository::Snapshot::MaterializeLocked(
   auto pack_entry = pack->FindEntry(site, attribute);
   if (!pack_entry.has_value()) return nullptr;  // True miss: not cached.
 
-  auto entry = std::make_unique<Entry>();
-  entry->record = StripRecord(pack_entry->record());
-  Result<core::WrapperPtr> wrapper = core::DeserializeWrapper(entry->record);
-  if (!wrapper.ok()) return nullptr;  // Corrupt record: behave as a miss.
-  entry->wrapper = std::move(*wrapper);
-  // Finalize the compiled plan from the pack's fixed layout; a plan blob
-  // that fails to decode falls back to compiling the parsed record.
-  entry->compiled = pack_entry->CompilePlan();
-  if (entry->compiled == nullptr) {
-    entry->compiled = core::CompiledWrapper::Compile(*entry->wrapper);
-  }
+  Result<Entry> parsed = EntryFromRecord(pack_entry->record());
+  if (!parsed.ok()) return nullptr;  // Corrupt record: behave as a miss.
+  auto entry = std::make_unique<Entry>(std::move(*parsed));
   entry->response_prefix =
       BuildResponsePrefix(site, attribute, entry->record, version);
   if (drift_registry_ != nullptr) {
@@ -413,17 +412,13 @@ Status WrapperRepository::Load() {
             next->errors.push_back(file + ": " + record.status().ToString());
             continue;
           }
-          Result<core::WrapperPtr> wrapper = core::DeserializeWrapper(*record);
-          if (!wrapper.ok()) {
-            next->errors.push_back(file + ": " + wrapper.status().ToString());
+          // Compile once per load; every request then executes the plan.
+          Result<Entry> entry = EntryFromRecord(*record);
+          if (!entry.ok()) {
+            next->errors.push_back(file + ": " + entry.status().ToString());
             continue;
           }
-          Entry entry;
-          entry.wrapper = std::move(*wrapper);
-          entry.record = StripRecord(*record);
-          // Compile once per load; every request then executes the plan.
-          entry.compiled = core::CompiledWrapper::Compile(*entry.wrapper);
-          next->wrappers[{site, attribute}] = std::move(entry);
+          next->wrappers[{site, attribute}] = std::move(*entry);
         }
       }
     }

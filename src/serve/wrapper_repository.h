@@ -141,7 +141,7 @@ class WrapperRepository {
     std::shared_ptr<const core::WrapperPack> pack;
 
     /// Overlay first, then the pack: a pack entry is lazily finalized
-    /// (record copied, plan built from the fixed layout, response
+    /// (record parsed and compiled as the directory scan does, response
     /// prefix + drift state attached) into this snapshot's cache on
     /// first hit; later hits return the cached entry. The pointer stays
     /// valid for the snapshot's lifetime (hold a pin). Null on a true

@@ -16,6 +16,7 @@
 #include "common/thread_pool.h"
 #include "core/compiled_wrapper.h"
 #include "core/fused_matcher.h"
+#include "core/hlrt_inductor.h"
 #include "core/lr_inductor.h"
 #include "core/wrapper_pack.h"
 #include "core/wrapper_store.h"
@@ -34,13 +35,14 @@ constexpr char kSuffix[] = ".wrapper";
 // delimiter, HLRT with head+tail, HLRT whose tail never occurs.
 std::vector<std::pair<std::string, std::shared_ptr<const core::CompiledWrapper>>>
 EdgeCasePlans() {
+  using core::CompiledWrapper;
   return {
-      {"bold", core::CompiledWrapper::MakeLr("<b>", "</b>")},
-      {"leftless", core::CompiledWrapper::MakeLr("", "</i>")},
-      {"list", core::CompiledWrapper::MakeHlrt("<ul>", "</ul>", "<li>",
-                                               "</li>")},
-      {"notail", core::CompiledWrapper::MakeHlrt("<ol>", "<!--never-->",
-                                                 "<li>", "</li>")},
+      {"bold", CompiledWrapper::Compile(core::LrWrapper("<b>", "</b>"))},
+      {"leftless", CompiledWrapper::Compile(core::LrWrapper("", "</i>"))},
+      {"list", CompiledWrapper::Compile(
+                   core::HlrtWrapper("<ul>", "</ul>", "<li>", "</li>"))},
+      {"notail", CompiledWrapper::Compile(core::HlrtWrapper(
+                     "<ol>", "<!--never-->", "<li>", "</li>"))},
   };
 }
 

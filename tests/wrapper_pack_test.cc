@@ -1,11 +1,11 @@
 // Wrapper-pack tests (DESIGN.md §15): build→open roundtrip identity
 // against the directory backend, deterministic rebuilds, clean rejection
 // of truncated / bit-flipped / version-mismatched packs and of NTWPACK1
-// files (no crash, no out-of-bounds reads under ASan), the repository's
-// directory fallback
-// when a pack is corrupt, lazy pack materialization, overlay publishes on
-// a pack backend, and incremental directory reloads that reuse unchanged
-// entries by pointer.
+// and NTWPACK2 files (no crash, no out-of-bounds reads under ASan), site
+// records whose entry range leaves the entry directory, the repository's
+// directory fallback when a pack is corrupt, lazy pack materialization,
+// overlay publishes on a pack backend, and incremental directory reloads
+// that reuse unchanged entries by pointer.
 
 #include <cstdint>
 #include <cstring>
@@ -121,51 +121,48 @@ TEST_F(WrapperPackTest, RoundtripMatchesDirectoryBackend) {
   EXPECT_EQ((*pack)->site_count(), 9u);
   EXPECT_TRUE((*pack)->Verify().ok()) << (*pack)->Verify().ToString();
 
-  auto site_dirs = ListSubdirectories(root);
-  ASSERT_TRUE(site_dirs.ok());
-  for (const std::string& site_dir : *site_dirs) {
-    std::string site = std::filesystem::path(site_dir).filename().string();
-    auto files = ListFiles(site_dir, kSuffix);
-    ASSERT_TRUE(files.ok());
-    for (const std::string& file : *files) {
-      std::string attr = std::filesystem::path(file).filename().string();
-      attr.resize(attr.size() - (sizeof(kSuffix) - 1));
-      auto on_disk = ReadFile(file);
-      ASSERT_TRUE(on_disk.ok());
+  // Every entry the directory backend serves, the pack backend serves
+  // with the same record bytes and a plan that extracts the same values.
+  serve::WrapperRepository directory(root);
+  ASSERT_TRUE(directory.Load().ok());
+  serve::WrapperRepository packed(
+      serve::WrapperRepository::Options{std::string(), path});
+  ASSERT_TRUE(packed.Load().ok());
+  auto dir = directory.Pin();
+  auto from_pack = packed.Pin();
+  ASSERT_EQ(dir->wrappers.size(), 27u);
+  EXPECT_EQ(from_pack->TotalWrapperCount(), dir->wrappers.size());
+  for (const auto& [key, dir_entry] : dir->wrappers) {
+    const auto& [site, attr] = key;
+    auto on_disk = ReadFile(root + "/" + site + "/" + attr + kSuffix);
+    ASSERT_TRUE(on_disk.ok());
+    EXPECT_EQ(dir_entry.record, Trimmed(*on_disk));
+    auto view = (*pack)->FindEntry(site, attr);
+    ASSERT_TRUE(view.has_value()) << site << "/" << attr;
+    EXPECT_EQ(view->record(), dir_entry.record);
 
-      auto entry = (*pack)->FindEntry(site, attr);
-      ASSERT_TRUE(entry.has_value()) << site << "/" << attr;
-      EXPECT_EQ(entry->record(), Trimmed(*on_disk));
-
-      // The pack's fixed-layout plan must agree with the plan compiled
-      // from the record.
-      auto record = core::DeserializeWrapper(std::string(entry->record()));
-      ASSERT_TRUE(record.ok());
-      auto compiled = core::CompiledWrapper::Compile(**record);
-      auto from_pack = entry->CompilePlan();
-      if (compiled == nullptr) {
-        EXPECT_EQ(from_pack, nullptr);
-        continue;
-      }
-      ASSERT_NE(from_pack, nullptr) << site << "/" << attr;
-      EXPECT_STREQ(from_pack->plan_kind(), compiled->plan_kind());
-      EXPECT_EQ(from_pack->left(), compiled->left());
-      EXPECT_EQ(from_pack->right(), compiled->right());
-      EXPECT_EQ(from_pack->head(), compiled->head());
-      EXPECT_EQ(from_pack->tail(), compiled->tail());
-      if (compiled->dom_free()) {
-        std::string page = "x" + compiled->head() + compiled->left() +
-                           "alpha" + compiled->right() + compiled->left() +
-                           "beta" + compiled->right() + compiled->tail() +
-                           "y";
-        core::StreamPageBuffer a, b;
-        std::vector<std::string_view> va, vb;
-        compiled->ExtractStreaming(page, a, &va);
-        from_pack->ExtractStreaming(page, b, &vb);
-        ASSERT_EQ(va.size(), vb.size());
-        for (size_t i = 0; i < va.size(); ++i) EXPECT_EQ(va[i], vb[i]);
-        EXPECT_GE(va.size(), 1u);  // The synthetic page must actually hit.
-      }
+    const auto* entry = from_pack->Find(site, attr);
+    ASSERT_NE(entry, nullptr) << site << "/" << attr;
+    EXPECT_EQ(entry->record, dir_entry.record);
+    const auto& compiled = dir_entry.compiled;
+    if (compiled == nullptr) {
+      EXPECT_EQ(entry->compiled, nullptr);
+      continue;
+    }
+    ASSERT_NE(entry->compiled, nullptr) << site << "/" << attr;
+    EXPECT_STREQ(entry->compiled->plan_kind(), compiled->plan_kind());
+    if (compiled->dom_free()) {
+      std::string page = "x" + compiled->head() + compiled->left() +
+                         "alpha" + compiled->right() + compiled->left() +
+                         "beta" + compiled->right() + compiled->tail() +
+                         "y";
+      core::StreamPageBuffer a, b;
+      std::vector<std::string_view> va, vb;
+      compiled->ExtractStreaming(page, a, &va);
+      entry->compiled->ExtractStreaming(page, b, &vb);
+      ASSERT_EQ(va.size(), vb.size());
+      for (size_t i = 0; i < va.size(); ++i) EXPECT_EQ(va[i], vb[i]);
+      EXPECT_GE(va.size(), 1u);  // The synthetic page must actually hit.
     }
   }
 }
@@ -289,28 +286,59 @@ struct PackHeaderV1 {
 };
 static_assert(sizeof(PackHeaderV1) == 120, "NTWPACK1 on-disk layout");
 
-TEST_F(WrapperPackTest, OpenRejectsFormatV1PackEvenWhenSealed) {
-  // A well-formed, sealed NTWPACK1 file (no sites, empty sections): Open
-  // must refuse it by name rather than read it through the NTWPACK2
-  // layout.
-  PackHeaderV1 header{};
-  std::memcpy(header.magic, "NTWPACK1", sizeof(header.magic));
-  header.version = 1;
+// The NTWPACK2 header: NTWPACK3's plus the offset and length of the
+// fixed-layout plans section NTWPACK2 carried (104 bytes).
+struct PackHeaderV2 {
+  char magic[8];
+  uint32_t version;
+  uint32_t endian;
+  uint64_t file_size;
+  uint64_t header_checksum;
+  uint64_t body_checksum;
+  uint64_t site_count;
+  uint64_t entry_count;
+  uint64_t sites_off;
+  uint64_t entries_off;
+  uint64_t plans_off;
+  uint64_t plans_len;
+  uint64_t strtab_off;
+  uint64_t strtab_len;
+};
+static_assert(sizeof(PackHeaderV2) == 104, "NTWPACK2 on-disk layout");
+
+// A well-formed, sealed older-format file with no sites and empty
+// sections.
+template <typename Header>
+std::string SealedEmptyPack(const char* magic, uint32_t version) {
+  Header header{};
+  std::memcpy(header.magic, magic, sizeof(header.magic));
+  header.version = version;
   header.endian = core::kPackEndian;
   header.file_size = sizeof(header);
   header.sites_off = header.entries_off = header.plans_off =
-      header.automata_off = header.strtab_off = sizeof(header);
+      header.strtab_off = sizeof(header);
+  if constexpr (requires { header.automata_off; }) {
+    header.automata_off = sizeof(header);
+  }
   header.body_checksum = Fnv1a("", 0);
   header.header_checksum = Fnv1a(&header, sizeof(header));
-  std::string v1_path = work_ + "/v1.pack";
-  ASSERT_TRUE(
-      WriteFile(v1_path, std::string(reinterpret_cast<const char*>(&header),
-                                     sizeof(header)))
-          .ok());
-  auto pack = core::WrapperPack::Open(v1_path);
-  ASSERT_FALSE(pack.ok());
-  EXPECT_NE(pack.status().ToString().find("NTWPACK1"), std::string::npos)
-      << pack.status().ToString();
+  return std::string(reinterpret_cast<const char*>(&header), sizeof(header));
+}
+
+TEST_F(WrapperPackTest, OpenRejectsFormatV1PackEvenWhenSealed) {
+  // Open must refuse NTWPACK1 and NTWPACK2 files by name rather than read
+  // them through the NTWPACK3 layout.
+  for (const auto& [format, bytes] :
+       {std::pair{"NTWPACK1", SealedEmptyPack<PackHeaderV1>("NTWPACK1", 1)},
+        std::pair{"NTWPACK2",
+                  SealedEmptyPack<PackHeaderV2>("NTWPACK2", 2)}}) {
+    std::string old_path = work_ + "/old.pack";
+    ASSERT_TRUE(WriteFile(old_path, bytes).ok());
+    auto pack = core::WrapperPack::Open(old_path);
+    ASSERT_FALSE(pack.ok()) << format;
+    EXPECT_NE(pack.status().ToString().find(format), std::string::npos)
+        << pack.status().ToString();
+  }
 }
 
 TEST_F(WrapperPackTest, VerifyRejectsBodyCorruption) {
@@ -362,8 +390,9 @@ TEST_F(WrapperPackTest, CorruptBodyNeverCrashesAccessors) {
         auto entry = site->entry(e);
         if (!entry.has_value()) continue;
         (void)entry->attribute();
-        (void)entry->record();
-        auto plan = entry->CompilePlan();
+        auto record = core::DeserializeWrapper(std::string(entry->record()));
+        if (!record.ok()) continue;
+        auto plan = core::CompiledWrapper::Compile(**record);
         if (plan != nullptr && plan->dom_free()) {
           core::StreamPageBuffer buffer;
           std::vector<std::string_view> values;
@@ -373,6 +402,78 @@ TEST_F(WrapperPackTest, CorruptBodyNeverCrashesAccessors) {
     }
     (void)(*pack)->FindEntry("site_000001", "attr_00");
     (void)(*pack)->Verify();
+  }
+}
+
+// Structured mutations of one site record with the header untouched, so
+// Open succeeds: a site whose entry range leaves the entry directory is a
+// miss — no lookup may walk the bad range — and every other site,
+// including those whose binary search passes the bad record, still
+// resolves in full.
+TEST_F(WrapperPackTest, SiteEntryRangeOutsideTheDirectoryIsAMiss) {
+  std::string root = WriteRepo(9, 3);
+  std::string path = PackFromRepo(root);
+  auto bytes = ReadFile(path);
+  ASSERT_TRUE(bytes.ok());
+  core::PackHeader header;
+  std::memcpy(&header, bytes->data(), sizeof(header));
+  serve::WrapperRepository directory(root);
+  ASSERT_TRUE(directory.Load().ok());
+  auto dir = directory.Pin();
+
+  const std::string bad = "site_000003";
+  const size_t bad_index = 3;  // The site directory is sorted by name.
+  const size_t rec_off =
+      header.sites_off + bad_index * sizeof(core::PackSiteRec);
+  core::PackSiteRec original;
+  std::memcpy(&original, bytes->data() + rec_off, sizeof(original));
+  core::PackSiteRec huge_count = original;
+  huge_count.entry_count = 0xFFFFFFFFu;
+  core::PackSiteRec begin_past_end = original;
+  begin_past_end.entry_begin = static_cast<uint32_t>(header.entry_count);
+
+  for (const auto& [what, rec] : {std::pair{"huge entry_count", huge_count},
+                                  std::pair{"entry_begin past the directory",
+                                            begin_past_end}}) {
+    SCOPED_TRACE(what);
+    std::string mutated = *bytes;
+    std::memcpy(mutated.data() + rec_off, &rec, sizeof(rec));
+    std::string mutated_path = work_ + "/mutated.pack";
+    ASSERT_TRUE(WriteFile(mutated_path, mutated).ok());
+    auto pack = core::WrapperPack::Open(mutated_path);
+    ASSERT_TRUE(pack.ok()) << pack.status().ToString();
+    ASSERT_FALSE((*pack)->site(bad_index).has_value());
+    ASSERT_FALSE((*pack)->FindSite(bad).has_value());
+    EXPECT_FALSE((*pack)->FindEntry(bad, "attr_00").has_value());
+    EXPECT_FALSE((*pack)->Verify().ok());
+
+    serve::WrapperRepository repository(
+        serve::WrapperRepository::Options{std::string(), mutated_path});
+    ASSERT_TRUE(repository.Load().ok());
+    auto pinned = repository.Pin();
+    EXPECT_EQ(pinned->Find(bad, "attr_00"), nullptr);
+    EXPECT_TRUE(pinned->MaterializeSite(bad).empty());
+    EXPECT_EQ(pinned->FindFused(bad), nullptr);
+
+    for (const auto& [key, entry] : dir->wrappers) {
+      if (key.first == bad) continue;
+      const auto* found = pinned->Find(key.first, key.second);
+      ASSERT_NE(found, nullptr) << key.first << "/" << key.second;
+      EXPECT_EQ(found->record, entry.record);
+    }
+    for (size_t s = 0; s < 9; ++s) {
+      std::string site = StrFormat("site_%06zu", s);
+      if (site == bad) continue;
+      EXPECT_EQ(pinned->MaterializeSite(site).size(), 3u) << site;
+      auto fused = pinned->FindFused(site);
+      auto expected = dir->FindFused(site);
+      ASSERT_NE(fused, nullptr) << site;
+      ASSERT_NE(expected, nullptr) << site;
+      ASSERT_EQ(fused->attributes().size(), expected->attributes().size());
+      for (size_t i = 0; i < expected->attributes().size(); ++i) {
+        EXPECT_EQ(fused->attributes()[i].name, expected->attributes()[i].name);
+      }
+    }
   }
 }
 

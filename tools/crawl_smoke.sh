@@ -4,7 +4,8 @@
 # HTTP origin, and assert both NDJSON outputs are byte-identical to the
 # offline `ntw_extract --emit ndjson` baseline over the same pages —
 # fetch transport, worker scheduling, and the frontier must not change a
-# single output byte. check.sh and CI run this after the unit suite; it
+# single output byte, and neither may serving the learned wrappers from
+# an ntw_pack pack. check.sh and CI run this after the unit suite; it
 # is the only place the installed ntw_origin/ntw_crawl binaries, the
 # static-file origin, and the port-file handshake meet end to end.
 # Usage: tools/crawl_smoke.sh <build-dir> [workers]
@@ -15,7 +16,8 @@ WORKERS="${2:-4}"
 ORIGIN_BIN="$BUILD/tools/ntw_origin"
 CRAWL_BIN="$BUILD/tools/ntw_crawl"
 EXTRACT_BIN="$BUILD/tools/ntw_extract"
-for BIN in "$ORIGIN_BIN" "$CRAWL_BIN" "$EXTRACT_BIN"; do
+PACK_BIN="$BUILD/tools/ntw_pack"
+for BIN in "$ORIGIN_BIN" "$CRAWL_BIN" "$EXTRACT_BIN" "$PACK_BIN"; do
   [ -x "$BIN" ] || { echo "crawl_smoke: $BIN not built" >&2; exit 1; }
 done
 
@@ -33,24 +35,36 @@ fail() { echo "crawl_smoke: $1" >&2; exit 1; }
     --sites 8 --pages 5 2> "$WORK/origin.log" \
     || fail "ntw_origin failed: $(cat "$WORK/origin.log")"
 
-# The offline baseline: per-site, per-attribute NDJSON from ntw_extract,
-# interleaved into crawl emission order (pages in sorted order; within a
-# page, wrappers in repository order: name before name_lr).
-: > "$WORK/offline.ndjson"
-for SITE_DIR in "$WORK/origin"/site_*; do
-  SITE="$(basename "$SITE_DIR")"
-  for ATTR in name name_lr; do
-    "$EXTRACT_BIN" --pages "$SITE_DIR" --wrapper-dir "$WORK/repo" \
-        --site "$SITE" --attribute "$ATTR" --emit ndjson \
-        --url-prefix "file://$WORK/origin/$SITE" \
-        > "$WORK/offline.$SITE.$ATTR" 2>/dev/null \
-        || fail "ntw_extract failed for $SITE/$ATTR"
+# Per-site, per-attribute NDJSON from ntw_extract with backend "$1 $2",
+# interleaved into crawl emission order in $3 (pages in sorted order;
+# within a page, wrappers in repository order: name before name_lr).
+extract_all() {
+  : > "$3"
+  for SITE_DIR in "$WORK/origin"/site_*; do
+    SITE="$(basename "$SITE_DIR")"
+    for ATTR in name name_lr; do
+      "$EXTRACT_BIN" --pages "$SITE_DIR" "$1" "$2" \
+          --site "$SITE" --attribute "$ATTR" --emit ndjson \
+          --url-prefix "file://$WORK/origin/$SITE" \
+          > "$3.$SITE.$ATTR" 2>/dev/null \
+          || fail "ntw_extract $1 failed for $SITE/$ATTR"
+    done
+    # paste -d'\n' interleaves line i of both files: name, name_lr, ...
+    paste -d '\n' "$3.$SITE.name" "$3.$SITE.name_lr" >> "$3"
   done
-  # paste -d'\n' interleaves line i of both files: name, name_lr, name...
-  paste -d '\n' "$WORK/offline.$SITE.name" "$WORK/offline.$SITE.name_lr" \
-      >> "$WORK/offline.ndjson"
-done
+}
+
+# The offline baseline, from the learned directory repository.
+extract_all --wrapper-dir "$WORK/repo" "$WORK/offline.ndjson"
 [ -s "$WORK/offline.ndjson" ] || fail "offline baseline is empty"
+
+# The same learned wrappers served from a pack must give the same bytes.
+{ "$PACK_BIN" build --root "$WORK/repo" --out "$WORK/wrappers.pack" &&
+  "$PACK_BIN" verify "$WORK/wrappers.pack"; } 2> "$WORK/pack.log" \
+    || fail "ntw_pack build/verify failed: $(cat "$WORK/pack.log")"
+extract_all --pack "$WORK/wrappers.pack" "$WORK/pack.ndjson"
+cmp -s "$WORK/pack.ndjson" "$WORK/offline.ndjson" \
+    || fail "pack-backed ntw_extract output differs from offline baseline"
 
 # Crawl over file:// from the root index (depth 1 discovers every page).
 "$CRAWL_BIN" --wrapper-dir "$WORK/repo" \
@@ -102,4 +116,4 @@ cmp -s "$WORK/crawl_http_norm.ndjson" "$WORK/offline.ndjson" \
     || fail "http crawl output differs from offline baseline"
 
 RECORDS="$(wc -l < "$WORK/offline.ndjson")"
-echo "crawl_smoke OK ($RECORDS records, file+http byte-identical, $WORKERS workers)"
+echo "crawl_smoke OK ($RECORDS records, file+http+pack byte-identical, $WORKERS workers)"

@@ -6,19 +6,19 @@
 //   ntw_pack verify PACK
 //
 // `build` walks a `<root>/<site>/<attribute>.wrapper` repository tree and
-// serializes it into one memory-mappable NTWPACK2 file: interned
-// strings, fixed-layout compiled plans and a sorted per-site directory.
-// The output is a pure function of the (site, attribute, record) set —
-// rebuilding from the same tree is bit-identical, which `verify`
-// exploits.
+// serializes it into one memory-mappable NTWPACK3 file: interned
+// strings (the wrapper records among them) and a sorted per-site
+// directory. The output is a pure function of the (site, attribute,
+// record) set — rebuilding from the same tree is bit-identical, which
+// `verify` exploits.
 //
 // `inspect` prints a JSON summary of the header (and one site's entries
 // with --site) without touching more pages than asked for.
 //
-// `verify` runs the full offline check: body checksum, directory
-// sortedness and bounds, every record parsed, every plan blob decoded and
-// cross-checked against its record — the integrity gate CI runs after
-// every build.
+// `verify` runs the full offline check: body checksum, every site's entry
+// range in bounds, every record parsed, and a canonical rebuild that must
+// match the file byte for byte — the integrity gate CI runs after every
+// build.
 
 #include <cstdio>
 #include <filesystem>
@@ -39,16 +39,6 @@ constexpr char kUsage[] =
     "       ntw_pack verify PACK\n";
 
 constexpr char kSuffix[] = ".wrapper";
-
-const char* PlanKindName(uint32_t kind) {
-  switch (kind) {
-    case core::kPackPlanXPath: return "xpath";
-    case core::kPackPlanLr: return "lr";
-    case core::kPackPlanHlrt: return "hlrt";
-    case core::kPackPlanNone: return "none";
-    default: return "unknown";
-  }
-}
 
 int Build(const Flags& flags) {
   std::string root = flags.Get("root");
@@ -112,27 +102,22 @@ int Inspect(const Flags& flags, const std::string& path) {
   }
   const core::PackHeader& header = (*pack)->header();
   obs::JsonWriter json;
-  BeginSchemaDocument(json, "ntw-pack-inspect", 3);
+  BeginSchemaDocument(json, "ntw-pack-inspect", 4);
   json.KV("path", path);
   json.KV("pack_version", static_cast<int64_t>(header.version));
   json.KV("file_size", static_cast<int64_t>(header.file_size));
   json.KV("sites", static_cast<int64_t>(header.site_count));
   json.KV("entries", static_cast<int64_t>(header.entry_count));
-  json.KV("plans_bytes", static_cast<int64_t>(header.plans_len));
   json.KV("strtab_bytes", static_cast<int64_t>(header.strtab_len));
   // Per-section byte breakdown: where a compression pass would pay. The
   // directories are fixed-width records, so their sizes follow from the
-  // counts; "other" is whatever remains (alignment padding).
+  // counts; the sections tile the file with no padding.
   {
     int64_t header_bytes = static_cast<int64_t>(sizeof(core::PackHeader));
     int64_t site_dir_bytes = static_cast<int64_t>(header.site_count *
                                                   sizeof(core::PackSiteRec));
     int64_t entry_dir_bytes = static_cast<int64_t>(
         header.entry_count * sizeof(core::PackEntryRec));
-    int64_t accounted = header_bytes + site_dir_bytes + entry_dir_bytes +
-                        static_cast<int64_t>(header.plans_len) +
-                        static_cast<int64_t>(header.strtab_len);
-    int64_t other = static_cast<int64_t>(header.file_size) - accounted;
     double scale =
         header.file_size > 0 ? 100.0 / static_cast<double>(header.file_size)
                              : 0.0;
@@ -146,9 +131,7 @@ int Inspect(const Flags& flags, const std::string& path) {
          {Section{"header", header_bytes},
           Section{"site_directory", site_dir_bytes},
           Section{"entry_directory", entry_dir_bytes},
-          Section{"plans", static_cast<int64_t>(header.plans_len)},
-          Section{"string_table", static_cast<int64_t>(header.strtab_len)},
-          Section{"other", other}}) {
+          Section{"string_table", static_cast<int64_t>(header.strtab_len)}}) {
       json.Key(section.name);
       json.BeginObject();
       json.KV("bytes", section.bytes);
@@ -173,7 +156,6 @@ int Inspect(const Flags& flags, const std::string& path) {
       if (!entry.has_value()) continue;
       json.BeginObject();
       json.KV("attribute", entry->attribute());
-      json.KV("plan_kind", PlanKindName(entry->plan_kind()));
       json.KV("record", entry->record());
       json.EndObject();
     }
