@@ -1,11 +1,12 @@
 // Wrapper-pack tests (DESIGN.md §15): build→open roundtrip identity
 // against the directory backend, deterministic rebuilds, clean rejection
-// of truncated / bit-flipped / version-mismatched packs and of NTWPACK1
-// and NTWPACK2 files (no crash, no out-of-bounds reads under ASan), site
-// records whose entry range leaves the entry directory, the repository's
-// directory fallback when a pack is corrupt, lazy pack materialization,
-// overlay publishes on a pack backend, and incremental directory reloads
-// that reuse unchanged entries by pointer.
+// of truncated / bit-flipped / version-mismatched packs, of headers whose
+// sections leave the file and of NTWPACK1 and NTWPACK2 files (no crash,
+// no out-of-bounds reads under ASan), site records whose entry range
+// leaves the entry directory, the repository's directory fallback when a
+// pack is corrupt, lazy pack materialization, overlay publishes on a pack
+// backend, and incremental directory reloads that reuse unchanged entries
+// by pointer.
 
 #include <cstdint>
 #include <cstring>
@@ -262,6 +263,34 @@ TEST_F(WrapperPackTest, OpenRejectsVersionMismatchEvenWhenResealed) {
   ASSERT_TRUE(WriteFile(patched_path, patched).ok());
   auto pack = core::WrapperPack::Open(patched_path);
   EXPECT_FALSE(pack.ok());
+}
+
+// A resealed header whose sections leave the file would let a directory
+// count drive loops and reads far past the mapping; Open refuses it.
+TEST_F(WrapperPackTest, OpenRejectsSectionsOutsideTheFileEvenWhenResealed) {
+  std::string path = PackFromRepo(WriteRepo(4, 2));
+  auto bytes = ReadFile(path);
+  ASSERT_TRUE(bytes.ok());
+  core::PackHeader original;
+  std::memcpy(&original, bytes->data(), sizeof(original));
+  std::string patched_path = work_ + "/sections.pack";
+  for (int field = 0; field < 4; ++field) {
+    core::PackHeader header = original;
+    if (field == 0) header.site_count = uint64_t{1} << 40;
+    if (field == 1) header.entry_count = uint64_t{1} << 40;
+    if (field == 2) header.strtab_len = bytes->size();
+    if (field == 3) header.entries_off = ~uint64_t{0};
+    header.header_checksum = 0;
+    header.header_checksum = Fnv1a(&header, sizeof(header));
+    std::string patched = *bytes;
+    std::memcpy(patched.data(), &header, sizeof(header));
+    ASSERT_TRUE(WriteFile(patched_path, patched).ok());
+    auto pack = core::WrapperPack::Open(patched_path);
+    ASSERT_FALSE(pack.ok()) << "field " << field;
+    EXPECT_NE(pack.status().ToString().find("sections exceed the file"),
+              std::string::npos)
+        << pack.status().ToString();
+  }
 }
 
 // The NTWPACK1 header: NTWPACK2's plus the offset and length of the
