@@ -1,17 +1,11 @@
-// Tokenizer / scanner microbenchmarks (google-benchmark): the byte-class
-// scanning loops the SIMD dispatch accelerates, measured scalar vs vector
-// on the same inputs so the speedup is directly visible in bytes/sec —
-// plus the three consumers that sit on top of them: the Tokenizer, the
-// StreamPage build (per tier) and the arena parse, on a representative
-// serialized dealer page.
-//
-// Run with NTW_NO_SIMD=1 to pin everything scalar; the *_scalar variants
-// below force it per-benchmark via scan::ForceScalar(), so a single
-// default run already reports both sides.
+// HTML lexing microbenchmarks (google-benchmark): the three consumers of
+// the lexical grammar in html/scan.h — the Tokenizer, the StreamPage
+// build and the arena parse — on a representative serialized dealer
+// page, in bytes/sec.
 //
 // `--out PATH` writes the runs as a schema-stamped ntw-scan-bench JSON
-// document (BENCH_scan.json in CI) with dispatched-vs-scalar speedups;
-// `--smoke` shortens every benchmark to a CI-sized sanity run.
+// document (BENCH_scan.json in CI); `--smoke` shortens every benchmark to
+// a CI-sized sanity run.
 
 #include <benchmark/benchmark.h>
 
@@ -25,7 +19,6 @@
 #include "common/obs_export.h"
 #include "datasets/dealers.h"
 #include "html/arena_dom.h"
-#include "html/scan.h"
 #include "html/serializer.h"
 #include "html/stream_page.h"
 #include "html/tokenizer.h"
@@ -50,107 +43,33 @@ std::string DealerPageHtml() {
   return *source;
 }
 
-// A long text-like run with rare specials: the case the vector loops are
-// built for (whole 16-byte blocks skipped per iteration).
-std::string SparseText() {
-  std::string text;
-  while (text.size() < 64 * 1024) {
-    text.append("Lorem ipsum dolor sit amet consectetur adipiscing elit ");
-    text.append("sed&do eiusmod<tempor ");
-  }
-  return text;
-}
-
-/// Scoped scalar pin: benchmarks suffixed _scalar run inside one of these
-/// so the dispatched scan::Find* calls hit the table-driven loops.
-class ScopedScalar {
- public:
-  ScopedScalar() { html::scan::ForceScalar(true); }
-  ~ScopedScalar() { html::scan::ForceScalar(false); }
-};
-
-template <size_t (*Find)(std::string_view, size_t)>
-void ScanAll(benchmark::State& state, const std::string& input) {
-  for (auto _ : state) {
-    size_t hits = 0;
-    size_t pos = 0;
-    while ((pos = Find(input, pos)) != std::string_view::npos) {
-      ++hits;
-      ++pos;
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(input.size()));
-}
-
-void BM_ScanTextSpecial(benchmark::State& state) {
-  ScanAll<&html::scan::FindTextSpecial>(state, SparseText());
-}
-BENCHMARK(BM_ScanTextSpecial);
-
-void BM_ScanTextSpecial_scalar(benchmark::State& state) {
-  ScopedScalar scalar;
-  ScanAll<&html::scan::FindTextSpecial>(state, SparseText());
-}
-BENCHMARK(BM_ScanTextSpecial_scalar);
-
-void BM_ScanLtOrAmp(benchmark::State& state) {
-  ScanAll<&html::scan::FindLtOrAmp>(state, SparseText());
-}
-BENCHMARK(BM_ScanLtOrAmp);
-
-void BM_ScanLtOrAmp_scalar(benchmark::State& state) {
-  ScopedScalar scalar;
-  ScanAll<&html::scan::FindLtOrAmp>(state, SparseText());
-}
-BENCHMARK(BM_ScanLtOrAmp_scalar);
-
-void TokenizeAll(benchmark::State& state, const std::string& input) {
+void BM_Tokenize(benchmark::State& state) {
+  std::string source = DealerPageHtml();
   html::Token token;
   for (auto _ : state) {
     size_t tokens = 0;
-    html::Tokenizer tokenizer(input);
+    html::Tokenizer tokenizer(source);
     while (tokenizer.Next(&token)) ++tokens;
     benchmark::DoNotOptimize(tokens);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(input.size()));
-}
-
-void BM_Tokenize(benchmark::State& state) {
-  TokenizeAll(state, DealerPageHtml());
+                          static_cast<int64_t>(source.size()));
 }
 BENCHMARK(BM_Tokenize);
-
-void BM_Tokenize_scalar(benchmark::State& state) {
-  ScopedScalar scalar;
-  TokenizeAll(state, DealerPageHtml());
-}
-BENCHMARK(BM_Tokenize_scalar);
-
-void StreamBuild(benchmark::State& state, const std::string& input) {
-  html::StreamPage page;
-  for (auto _ : state) {
-    page.Build(input);
-    benchmark::DoNotOptimize(page.stream().size());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(input.size()));
-}
 
 // Dealer pages carry &amp;-references, so this is the patched
 // (copy-on-write) tier — the one the serving streaming path hits.
 void BM_StreamPageBuild(benchmark::State& state) {
-  StreamBuild(state, DealerPageHtml());
+  std::string source = DealerPageHtml();
+  html::StreamPage page;
+  for (auto _ : state) {
+    page.Build(source);
+    benchmark::DoNotOptimize(page.stream().size());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(source.size()));
 }
 BENCHMARK(BM_StreamPageBuild);
-
-void BM_StreamPageBuild_scalar(benchmark::State& state) {
-  ScopedScalar scalar;
-  StreamBuild(state, DealerPageHtml());
-}
-BENCHMARK(BM_StreamPageBuild_scalar);
 
 // The same page through the arena parse: the DOM fast path's per-page
 // cost, the baseline the streaming tiers beat.
@@ -201,17 +120,9 @@ class CapturingReporter : public benchmark::ConsoleReporter {
   std::vector<CapturedRun>* sink_;
 };
 
-double BytesPerSecond(const std::vector<CapturedRun>& runs,
-                      std::string_view name) {
-  for (const CapturedRun& run : runs) {
-    if (run.name == name) return run.bytes_per_second;
-  }
-  return 0;
-}
-
 std::string RunsToJson(const std::vector<CapturedRun>& runs, bool smoke) {
   obs::JsonWriter json;
-  BeginSchemaDocument(json, "ntw-scan-bench", 1);
+  BeginSchemaDocument(json, "ntw-scan-bench", 2);
   json.Key("config");
   json.BeginObject();
   json.KV("smoke", smoke);
@@ -228,18 +139,6 @@ std::string RunsToJson(const std::vector<CapturedRun>& runs, bool smoke) {
     json.EndObject();
   }
   json.EndArray();
-  // Dispatched-vs-scalar ratio for every benchmark with a _scalar twin:
-  // the artifact's headline numbers, >1 means the SIMD path wins.
-  json.Key("speedups");
-  json.BeginObject();
-  for (const CapturedRun& run : runs) {
-    std::string twin = run.name + "_scalar";
-    double scalar = BytesPerSecond(runs, twin);
-    if (scalar > 0 && run.bytes_per_second > 0) {
-      json.KV(run.name + "_vs_scalar", run.bytes_per_second / scalar);
-    }
-  }
-  json.EndObject();
   json.EndObject();
   return json.Take() + "\n";
 }

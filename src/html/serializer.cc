@@ -3,17 +3,10 @@
 #include <vector>
 
 #include "common/strings.h"
+#include "html/scan.h"
 
 namespace ntw::html {
 namespace {
-
-// Raw-text elements: the tokenizer consumes their contents without
-// entity decoding, so they must be emitted verbatim — escaping would
-// double-encode on every parse/serialize cycle. Their text cannot
-// contain "</tag" (it would have terminated the element at parse time).
-bool IsRawTextTag(const std::string& tag) {
-  return tag == "script" || tag == "style" || tag == "textarea";
-}
 
 // One pending step of an iterative pre-order walk: visit `node`, or
 // (close) emit the end tag of an element whose children are done.
@@ -71,7 +64,11 @@ void SerializeTo(const Node* root, std::string* out) {
     out->push_back('>');
     if (IsVoidElementTag(node->tag())) continue;
     stack.push_back({node, true});
-    PushChildren(node, IsRawTextTag(node->tag()), &stack);
+    // Raw-text element contents are not entity-decoded when parsed, so
+    // they are emitted verbatim: escaping would double-encode on every
+    // parse/serialize cycle. Their text cannot contain the element's end
+    // tag (it would have ended the element at parse time).
+    PushChildren(node, scan::IsRawTextTag(node->tag()), &stack);
   }
 }
 

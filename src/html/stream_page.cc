@@ -11,21 +11,6 @@ namespace {
 
 constexpr size_t kNpos = std::string_view::npos;
 
-// Mirrors the tokenizer's tag-name grammar (tokenizer.cc): names start
-// with an ASCII letter — either case, the tokenizer folds — and continue
-// with alnum/-/_/:. Uppercase bytes are a LOCAL rewrite now: the scanner
-// folds them in place instead of bailing.
-bool IsTagNameStart(char c) { return IsAsciiAlpha(c); }
-bool IsTagNameChar(char c) {
-  return IsAsciiAlnum(c) || c == '-' || c == '_' || c == ':';
-}
-
-bool IsUpperAscii(char c) { return c >= 'A' && c <= 'Z'; }
-
-bool IsRawTextTag(std::string_view tag) {
-  return tag == "script" || tag == "style" || tag == "textarea";
-}
-
 // True when CollapseWhitespace(s) == s for a non-empty s: no whitespace
 // byte other than ' ', no leading/trailing space, no "  " run. Raw-text
 // element contents (not entity-decoded, but collapse-processed) are
@@ -64,11 +49,13 @@ void StreamPage::Build(std::string_view input) {
 // Tiers 1+2: a single scan that proves the input byte-identical to the
 // normalized stream (verbatim) or identical up to LOCAL patches — entity
 // decodes and whitespace-collapse fixes whose replacements are computable
-// in place (patched). Every check mirrors a specific normalization the
-// Tokenizer / recovery walk / flattener performs; any STRUCTURAL rewrite
-// (one that moves, reorders or synthesizes tag bytes) bails to the
-// flatten. The grammar is deliberately conservative — a false bail only
-// costs speed, a false accept would break the byte-identity contract.
+// in place (patched). Tag names, attributes and raw-text ends are lexed
+// by the Tokenizer's own grammar (html/scan.h); every check on what they
+// return mirrors a specific normalization the Tokenizer / recovery walk /
+// flattener performs, and any STRUCTURAL rewrite (one that moves,
+// reorders or synthesizes tag bytes) bails to the flatten. The checks are
+// deliberately conservative — a false bail only costs speed, a false
+// accept would break the byte-identity contract.
 //
 // Copy-on-write: while no patch has fired, nothing is copied and the
 // recorded spans double as raw-byte offsets. The first patch copies the
@@ -80,6 +67,13 @@ bool StreamPage::BuildVerbatim(std::string_view in) {
     closes_.append("</");
     closes_.append(tag);
     closes_.push_back('>');
+  };
+  // The lowercase form of a name with uppercase bytes, interned: a
+  // process-stable view the open stack and the patch can keep.
+  auto folded = [this](std::string_view name) {
+    lowered_.assign(name);
+    for (char& c : lowered_) c = AsciiToLower(c);
+    return NameTable::Global().Intern(lowered_).name;
   };
   size_t n = in.size();
   size_t pos = 0;
@@ -147,7 +141,7 @@ bool StreamPage::BuildVerbatim(std::string_view in) {
         // The run will be decoded + collapsed wholesale; only its end
         // matters now, so skip the per-byte validation and memchr to the
         // closing '<'.
-        size_t lt = scan::FindByte(in, q + 1, '<');
+        size_t lt = in.find('<', q + 1);
         run_end = lt == kNpos ? n : lt;
         break;
       }
@@ -183,21 +177,12 @@ bool StreamPage::BuildVerbatim(std::string_view in) {
       // is dropped. All of that resolves against the open stack right
       // here, so every shape is a LOCAL patch.
       size_t name_start = pos + 2;
-      size_t p = name_start;
-      if (p >= n || !IsTagNameStart(in[p])) return false;  // "</>" → text.
-      bool fold = IsUpperAscii(in[p]);
-      ++p;
-      while (p < n && IsTagNameChar(in[p])) {
-        fold = fold || IsUpperAscii(in[p]);
-        ++p;
-      }
+      scan::TagName lexed = scan::LexTagName(in, name_start);
+      if (lexed.end == name_start) return false;  // "</>" → text.
+      size_t p = lexed.end;
       std::string_view name = in.substr(name_start, p - name_start);
-      if (fold) {
-        lowered_.assign(name);
-        for (char& c : lowered_) c = AsciiToLower(c);
-        name = NameTable::Global().Intern(lowered_).name;
-      }
-      size_t gt = scan::FindByte(in, p, '>');
+      if (lexed.fold) name = folded(name);
+      size_t gt = in.find('>', p);
       if (gt == kNpos) return false;  // EOF inside the end tag.
       size_t match = open.SizeAfterEndTag(name);
       if (match == open.size()) {
@@ -213,7 +198,7 @@ bool StreamPage::BuildVerbatim(std::string_view in) {
         patch(pos, pos, closes_);
       }
       open.Pop();
-      if (fold || p != gt) {
+      if (lexed.fold || p != gt) {
         // Canonical close: folded name, junk before '>' dropped.
         closes_.assign("</");
         closes_.append(name);
@@ -224,24 +209,14 @@ bool StreamPage::BuildVerbatim(std::string_view in) {
       continue;
     }
 
-    if (!IsTagNameStart(next)) return false;  // <!… <?… "< "… all bail.
-
     // Start tag. The tokenizer folds the name's case, so an uppercase
-    // byte is a local patch (the interned lowered name gives the patch a
-    // process-stable view to keep on the open stack).
+    // byte is a local patch.
     size_t name_start = pos + 1;
-    size_t p = name_start + 1;
-    bool fold = IsUpperAscii(next);
-    while (p < n && IsTagNameChar(in[p])) {
-      fold = fold || IsUpperAscii(in[p]);
-      ++p;
-    }
+    scan::TagName lexed = scan::LexTagName(in, name_start);
+    if (lexed.end == name_start) return false;  // <!… <?… "< "… all bail.
+    size_t p = lexed.end;
     std::string_view name = in.substr(name_start, p - name_start);
-    if (fold) {
-      lowered_.assign(name);
-      for (char& c : lowered_) c = AsciiToLower(c);
-      name = NameTable::Global().Intern(lowered_).name;
-    }
+    if (lexed.fold) name = folded(name);
 
     // Implied end tags: each popped element's close tag is spliced in
     // before the '<' of this start tag.
@@ -250,7 +225,7 @@ bool StreamPage::BuildVerbatim(std::string_view in) {
       open.PopTo(keep, append_close);
       patch(pos, pos, closes_);
     }
-    if (fold) patch(name_start, p, name);
+    if (lexed.fold) patch(name_start, p, name);
 
     // Attributes: the canonical form is ` name="value"` — single-space
     // separators, lowercase names, '=' with no surrounding whitespace, a
@@ -260,10 +235,9 @@ bool StreamPage::BuildVerbatim(std::string_view in) {
     // backwards) and the '/' self-closing machinery bail to the flatten.
     attr_names_.clear();
     for (;;) {
-      if (p >= n) return false;  // Unterminated tag → closed at EOF.
       size_t ws_begin = p;
-      while (p < n && IsAsciiSpace(in[p])) ++p;
-      if (p >= n) return false;
+      p = scan::SkipWhitespace(in, p);
+      if (p >= n) return false;  // Unterminated tag → closed at EOF.
       if (in[p] == '>') {
         // "<div >" → "<div>": in-tag whitespace before '>' vanishes.
         if (p != ws_begin) patch(ws_begin, p, std::string_view());
@@ -277,68 +251,38 @@ bool StreamPage::BuildVerbatim(std::string_view in) {
       if (p != ws_begin + 1 || in[ws_begin] != ' ') {
         patch(ws_begin, p, " ");
       }
-      // Name: runs to '=', '>', '/' or whitespace, case-folded — the
-      // same scan the tokenizer uses.
-      size_t an_start = p;
-      p = scan::FindAttrNameEnd(in, p);
-      if (p == kNpos) p = n;
-      if (p == an_start) return false;  // Malformed byte at name position.
-      std::string_view attr_name = in.substr(an_start, p - an_start);
-      bool name_fold = false;
-      for (char c : attr_name) name_fold = name_fold || IsUpperAscii(c);
-      if (name_fold) {
-        lowered_.assign(attr_name);
-        for (char& c : lowered_) c = AsciiToLower(c);
-        attr_name = NameTable::Global().Intern(lowered_).name;
-        patch(an_start, p, attr_name);
+      scan::Attribute attr = scan::LexAttribute(in, p);
+      if (attr.name_end == p) return false;  // Stray '=' at a name.
+      std::string_view attr_name = in.substr(p, attr.name_end - p);
+      if (attr.fold) {
+        attr_name = folded(attr_name);
+        patch(p, attr.name_end, attr_name);
       }
       for (std::string_view seen : attr_names_) {
         if (seen == attr_name) return false;  // Duplicate: bytes move.
       }
       attr_names_.push_back(attr_name);
-      // Value: the tokenizer grammar is ws* ['=' ws* (quoted|unquoted)].
-      size_t after_name = p;
-      size_t q = p;
-      while (q < n && IsAsciiSpace(in[q])) ++q;
-      if (q >= n) return false;  // Tag closed at EOF.
-      if (in[q] != '=') {
-        // Valueless attribute → canonical `=""`; the whitespace just
-        // skipped re-scans as the next separator.
-        patch(after_name, after_name, "=\"\"");
-        continue;  // p == after_name.
+      if (attr.eq == kNpos) {
+        // Valueless attribute → canonical `=""`; the whitespace after
+        // the name re-scans as the next separator.
+        patch(attr.name_end, attr.name_end, "=\"\"");
+        p = attr.name_end;
+        continue;
       }
-      size_t eq = q;
-      if (eq != after_name) {
-        patch(after_name, eq, std::string_view());  // ws before '='.
-      }
-      size_t vstart = eq + 1;
-      while (vstart < n && IsAsciiSpace(in[vstart])) ++vstart;
-      size_t vbegin, vend, region_end;
-      bool quoted_double = false;
-      if (vstart < n && (in[vstart] == '"' || in[vstart] == '\'')) {
-        char quote = in[vstart];
-        vbegin = vstart + 1;
-        vend = scan::FindByte(in, vbegin, quote);
-        if (vend == kNpos) return false;  // Unterminated → EOF close.
-        region_end = vend + 1;
-        quoted_double = quote == '"';
-      } else {
-        // Unquoted (possibly empty) value runs to whitespace or '>'.
-        vbegin = vstart;
-        vend = scan::FindWsOrGt(in, vbegin);
-        if (vend == kNpos) vend = n;
-        region_end = vend;
+      if (attr.unterminated) return false;  // Tag closed at EOF.
+      if (attr.eq != attr.name_end) {
+        patch(attr.name_end, attr.eq, std::string_view());  // ws before '='.
       }
       // Already-canonical check: double-quoted, no whitespace after '=',
       // and the bytes survive entity decoding unchanged. The byte ending
       // the value (quote, whitespace or '>') is never alphanumeric, so
       // reference parsing sees the same extent in the full input as in
       // the token substring.
-      bool canonical = quoted_double && vstart == eq + 1;
+      bool canonical = attr.quote == '"' && attr.value_begin == attr.eq + 2;
       if (canonical) {
-        std::string_view value_region = in.substr(0, vend);
-        size_t amp = vbegin;
-        while ((amp = scan::FindByte(value_region, amp, '&')) != kNpos) {
+        std::string_view value_region = in.substr(0, attr.value_end);
+        size_t amp = attr.value_begin;
+        while ((amp = value_region.find('&', amp)) != kNpos) {
           if (StartsReference(in, amp)) {
             canonical = false;
             break;
@@ -352,11 +296,13 @@ bool StreamPage::BuildVerbatim(std::string_view in) {
         // but never collapsed; no span — attr values are not text).
         decoded_.clear();
         decoded_.push_back('"');
-        AppendDecodedEntities(in.substr(vbegin, vend - vbegin), &decoded_);
+        AppendDecodedEntities(
+            in.substr(attr.value_begin, attr.value_end - attr.value_begin),
+            &decoded_);
         decoded_.push_back('"');
-        patch(eq + 1, region_end, decoded_);
+        patch(attr.eq + 1, attr.end, decoded_);
       }
-      p = region_end;
+      p = attr.end;
     }
 
     if (IsVoidElementTag(name)) {
@@ -365,26 +311,15 @@ bool StreamPage::BuildVerbatim(std::string_view in) {
     }
     open.Push(name);  // Unclassified: the implied-close rule decides.
 
-    if (IsRawTextTag(name)) {
-      // Raw-text content runs to the matching "</name" with a '>' or
-      // whitespace boundary, exactly as the tokenizer scans it (the
-      // needle is the folded lowercase name and the search is case-
-      // sensitive, so a `</SCRIPT>` close is content and the element
-      // runs to EOF — a bail). The close tag itself is handled by the
-      // main loop's end-tag scanner, which canonicalizes any junk before
-      // its '>'. Content is NOT entity-decoded (so '&' is fine) but IS
-      // collapse-processed.
-      needle_.assign("</");
-      needle_.append(name);
-      size_t end = p;
-      for (;;) {
-        end = in.find(needle_, end);
-        if (end == kNpos) return false;  // Unclosed → content to EOF.
-        size_t after = end + needle_.size();
-        if (after >= n) return false;  // "</script" at EOF.
-        if (in[after] == '>' || IsAsciiSpace(in[after])) break;
-        ++end;  // "</scriptfoo" is content; keep scanning.
-      }
+    if (scan::IsRawTextTag(name)) {
+      // Raw-text content runs to the tokenizer's raw-text end tag. A
+      // `</SCRIPT>` close is content (the search is case-sensitive), so
+      // the element runs to EOF and bails, as does a "</script" at EOF.
+      // The close tag itself is handled by the main loop's end-tag
+      // scanner, which canonicalizes any junk before its '>'. Content is
+      // NOT entity-decoded (so '&' is fine) but IS collapse-processed.
+      size_t end = scan::FindRawTextEnd(in, p, name);
+      if (end == kNpos || end + 2 + name.size() >= n) return false;
       std::string_view content = in.substr(p, end - p);
       if (!content.empty()) {
         // Raw text is NOT entity-decoded but IS collapse-processed;

@@ -109,7 +109,6 @@ class StreamPage {
   std::vector<StreamSpan> spans_;
   RecoveryScratch recovery_;  // Open-element stack (both scanners), token.
   std::vector<std::string_view> attr_names_;  // Per-tag dedup scratch.
-  std::string needle_;                        // Raw-text end-tag scratch.
   std::string decoded_;                       // Patch entity-decode scratch.
   std::string normalized_;                    // Patch collapse scratch.
   std::string lowered_;                       // Name case-fold scratch.

@@ -5,15 +5,6 @@
 #include "html/scan.h"
 
 namespace ntw::html {
-namespace {
-
-bool IsTagNameStart(char c) { return IsAsciiAlpha(c); }
-
-bool IsTagNameChar(char c) {
-  return IsAsciiAlnum(c) || c == '-' || c == '_' || c == ':';
-}
-
-}  // namespace
 
 std::vector<Token> Tokenizer::TokenizeAll() {
   std::vector<Token> tokens;
@@ -26,11 +17,17 @@ std::vector<Token> Tokenizer::TokenizeAll() {
 
 bool Tokenizer::Next(Token* token) {
   if (!raw_text_tag_.empty()) {
-    std::string closing = raw_text_tag_;
+    size_t end = scan::FindRawTextEnd(input_, pos_, raw_text_tag_);
+    if (end == std::string_view::npos) end = input_.size();
     raw_text_tag_.clear();
-    if (ConsumeRawText(closing, token)) return true;
-    // Fall through: raw element had no content before its end tag; keep
-    // tokenizing normally (the end tag is handled below).
+    if (end > pos_) {
+      token->kind = TokenKind::kText;
+      token->data.assign(input_.substr(pos_, end - pos_));
+      token->self_closing = false;
+      pos_ = end;
+      return true;
+    }
+    // No content before the end tag: tokenize it normally below.
   }
 
   if (pos_ >= input_.size()) return false;
@@ -92,23 +89,18 @@ bool Tokenizer::Next(Token* token) {
 }
 
 bool Tokenizer::LexTag(Token* token) {
-  size_t save = pos_;
-  ++pos_;  // Consume '<'.
-  bool closing = false;
-  if (pos_ < input_.size() && input_[pos_] == '/') {
-    closing = true;
-    ++pos_;
-  }
-  if (pos_ >= input_.size() || !IsTagNameStart(input_[pos_])) {
-    pos_ = save;
-    return false;
-  }
-  size_t name_start = pos_;
-  while (pos_ < input_.size() && IsTagNameChar(input_[pos_])) ++pos_;
+  size_t name_start = pos_ + 1;  // Past '<'.
+  bool closing = name_start < input_.size() && input_[name_start] == '/';
+  if (closing) ++name_start;
+  scan::TagName name = scan::LexTagName(input_, name_start);
+  if (name.end == name_start) return false;  // The '<' is text.
+  pos_ = name.end;
 
   token->kind = closing ? TokenKind::kEndTag : TokenKind::kStartTag;
-  token->data.assign(input_.substr(name_start, pos_ - name_start));
-  for (char& c : token->data) c = AsciiToLower(c);
+  token->data.assign(input_.substr(name_start, name.end - name_start));
+  if (name.fold) {
+    for (char& c : token->data) c = AsciiToLower(c);
+  }
   token->self_closing = false;
 
   if (!closing) {
@@ -116,13 +108,12 @@ bool Tokenizer::LexTag(Token* token) {
   } else {
     // Skip anything up to '>' on an end tag (attributes there are invalid
     // but must not derail the tokenizer).
-    while (pos_ < input_.size() && input_[pos_] != '>') ++pos_;
+    pos_ = input_.find('>', pos_);
+    if (pos_ == std::string_view::npos) pos_ = input_.size();
   }
   if (pos_ < input_.size() && input_[pos_] == '>') ++pos_;
 
-  if (!closing && !token->self_closing &&
-      (token->data == "script" || token->data == "style" ||
-       token->data == "textarea")) {
+  if (!closing && !token->self_closing && scan::IsRawTextTag(token->data)) {
     raw_text_tag_ = token->data;
   }
   return true;
@@ -134,83 +125,35 @@ void Tokenizer::LexAttributes(Token* token) {
   // lexing does not allocate.
   size_t count = 0;
   for (;;) {
-    SkipWhitespace();
+    pos_ = scan::SkipWhitespace(input_, pos_);
     if (pos_ >= input_.size()) break;
     char c = input_[pos_];
     if (c == '>') break;
     if (c == '/') {
-      ++pos_;
-      SkipWhitespace();
+      pos_ = scan::SkipWhitespace(input_, pos_ + 1);
       if (pos_ < input_.size() && input_[pos_] == '>') {
         token->self_closing = true;
       }
       break;
     }
-    // Attribute name: runs to '=', '>', '/' or whitespace (vectorized
-    // byte-class scan).
-    size_t name_start = pos_;
-    pos_ = scan::FindAttrNameEnd(input_, pos_);
-    if (pos_ == std::string_view::npos) pos_ = input_.size();
-    if (pos_ == name_start) {
-      ++pos_;  // Defensive: skip a malformed character.
+    scan::Attribute attr = scan::LexAttribute(input_, pos_);
+    if (attr.name_end == pos_) {
+      ++pos_;  // A stray '=' where a name belongs: skip it.
       continue;
     }
     if (count == token->attrs.size()) token->attrs.emplace_back();
     auto& [name, value] = token->attrs[count++];
-    name.assign(input_.substr(name_start, pos_ - name_start));
-    for (char& ch : name) ch = AsciiToLower(ch);
-    value.clear();
-    SkipWhitespace();
-    if (pos_ < input_.size() && input_[pos_] == '=') {
-      ++pos_;
-      SkipWhitespace();
-      if (pos_ < input_.size() &&
-          (input_[pos_] == '"' || input_[pos_] == '\'')) {
-        char quote = input_[pos_++];
-        size_t value_start = pos_;
-        pos_ = scan::FindByte(input_, pos_, quote);
-        if (pos_ == std::string_view::npos) pos_ = input_.size();
-        AppendDecodedEntities(
-            input_.substr(value_start, pos_ - value_start), &value);
-        if (pos_ < input_.size()) ++pos_;  // Closing quote.
-      } else {
-        size_t value_start = pos_;
-        pos_ = scan::FindWsOrGt(input_, pos_);
-        if (pos_ == std::string_view::npos) pos_ = input_.size();
-        AppendDecodedEntities(
-            input_.substr(value_start, pos_ - value_start), &value);
-      }
+    name.assign(input_.substr(pos_, attr.name_end - pos_));
+    if (attr.fold) {
+      for (char& ch : name) ch = AsciiToLower(ch);
     }
+    value.clear();
+    AppendDecodedEntities(
+        input_.substr(attr.value_begin, attr.value_end - attr.value_begin),
+        &value);
+    pos_ = attr.end;
   }
   token->attrs.resize(count);
-}
-
-void Tokenizer::SkipWhitespace() {
-  while (pos_ < input_.size() && IsAsciiSpace(input_[pos_])) ++pos_;
-}
-
-bool Tokenizer::ConsumeRawText(const std::string& closing_tag, Token* token) {
-  std::string needle = "</" + closing_tag;
-  size_t end = pos_;
-  for (;;) {
-    end = input_.find(needle, end);
-    if (end == std::string_view::npos) {
-      end = input_.size();
-      break;
-    }
-    size_t after = end + needle.size();
-    if (after >= input_.size() || input_[after] == '>' ||
-        IsAsciiSpace(input_[after])) {
-      break;
-    }
-    ++end;  // "</scriptfoo" is not a real end tag; keep scanning.
-  }
-  if (end == pos_) return false;
-  token->kind = TokenKind::kText;
-  token->data.assign(input_.substr(pos_, end - pos_));
-  token->self_closing = false;
-  pos_ = end;
-  return true;
 }
 
 }  // namespace ntw::html

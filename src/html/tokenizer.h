@@ -33,7 +33,9 @@ struct Token {
 /// Streaming HTML tokenizer with tag-soup tolerance: stray '<' characters
 /// that do not begin a tag are treated as text, unterminated tags are closed
 /// at end of input, attribute values may be double-quoted, single-quoted or
-/// bare, and <script>/<style> contents are consumed as raw text (RCDATA).
+/// bare, and raw-text elements (<script>, <style>, <textarea>) have their
+/// contents consumed as one undecoded text token. Tag names, attributes and
+/// raw-text ends are lexed by the grammar in html/scan.h.
 class Tokenizer {
  public:
   explicit Tokenizer(std::string_view input) : input_(input) {}
@@ -47,8 +49,6 @@ class Tokenizer {
  private:
   bool LexTag(Token* token);
   void LexAttributes(Token* token);
-  void SkipWhitespace();
-  bool ConsumeRawText(const std::string& closing_tag, Token* token);
 
   std::string_view input_;
   size_t pos_ = 0;

@@ -1,4 +1,6 @@
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/lr_inductor.h"
 #include "gtest/gtest.h"
@@ -165,6 +167,37 @@ TEST(TokenizerTest, ScriptIsRawText) {
   EXPECT_EQ(tokens[1].data, "if (a<b) { x(); }");
   EXPECT_EQ(tokens[2].kind, TokenKind::kEndTag);
   EXPECT_EQ(tokens[3].data, "after");
+
+  // The raw-text end rule: "</tag" followed by '>', whitespace or end of
+  // input, matched case-sensitively. Every consumer lexes through this
+  // rule, so the equivalence suites cannot catch a change to it.
+  using Expected = std::vector<std::pair<TokenKind, std::string>>;
+  const std::pair<const char*, Expected> cases[] = {
+      {"<script>a</scriptx>b</script>c",
+       {{TokenKind::kStartTag, "script"},
+        {TokenKind::kText, "a</scriptx>b"},
+        {TokenKind::kEndTag, "script"},
+        {TokenKind::kText, "c"}}},
+      {"<style>a</style >b",
+       {{TokenKind::kStartTag, "style"},
+        {TokenKind::kText, "a"},
+        {TokenKind::kEndTag, "style"},
+        {TokenKind::kText, "b"}}},
+      {"<script>a</script",
+       {{TokenKind::kStartTag, "script"},
+        {TokenKind::kText, "a"},
+        {TokenKind::kEndTag, "script"}}},
+      {"<textarea>x</TEXTAREA>y",
+       {{TokenKind::kStartTag, "textarea"},
+        {TokenKind::kText, "x</TEXTAREA>y"}}},
+  };
+  for (const auto& [input, expected] : cases) {
+    Expected actual;
+    for (const Token& token : Tokenizer(input).TokenizeAll()) {
+      actual.emplace_back(token.kind, token.data);
+    }
+    EXPECT_EQ(actual, expected) << input;
+  }
 }
 
 TEST(TokenizerTest, EntityInTextAndAttr) {

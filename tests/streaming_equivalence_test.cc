@@ -127,6 +127,8 @@ TEST(StreamPageTest, MatchesArenaFlattenOnTrickyInputs) {
       "<script></script>after",
       "<script>unclosed",
       "<script/>sibling",
+      "<script>a</scriptx>b</script>c",
+      "<style>a</style >b",
       // Canonical serializer-style output (the verbatim tier's domain).
       "<html><head><title>t</title></head><body><ul><li>one</li>"
       "<li>two</li></ul></body></html>",

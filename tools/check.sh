@@ -38,12 +38,6 @@ sh "$ROOT/tools/serve_smoke.sh" "$ROOT/build" 2 || {
   FAILED=1
 }
 
-echo "==> ntw_serve smoke (scalar scan)"
-NTW_NO_SIMD=1 sh "$ROOT/tools/serve_smoke.sh" "$ROOT/build" 2 || {
-  echo "check.sh: ntw_serve NTW_NO_SIMD=1 smoke run FAILED" >&2
-  FAILED=1
-}
-
 echo "==> ntw_serve smoke (self-heal)"
 sh "$ROOT/tools/serve_smoke.sh" "$ROOT/build" --self-heal || {
   echo "check.sh: ntw_serve self-heal smoke run FAILED" >&2
@@ -87,13 +81,6 @@ echo "==> ntw_loadgen smoke (equivalence gates + shard sweep)"
 "$ROOT/build/tools/ntw_loadgen" --smoke --shards 2 --sweep 1,2 \
     --out "$ROOT/build/BENCH_serve.json" || {
   echo "check.sh: ntw_loadgen smoke run FAILED" >&2
-  FAILED=1
-}
-
-echo "==> ntw_loadgen smoke (scalar scan)"
-NTW_NO_SIMD=1 "$ROOT/build/tools/ntw_loadgen" --smoke --shards 2 \
-    --out "$ROOT/build/BENCH_serve_scalar.json" || {
-  echo "check.sh: ntw_loadgen NTW_NO_SIMD=1 smoke run FAILED" >&2
   FAILED=1
 }
 

@@ -19,7 +19,9 @@
 // --shards N runs N reactor shards (independent event loops, one per
 // core by default — DESIGN.md §11); each shard handles its requests
 // inline with a shard-private buffer pool. --threads then only sizes the
-// pool /extract_batch fans out over.
+// pool /extract_batch fans out over. --max-inflight is checked only when
+// requests go to a worker pool, that is with --shards 1 and a pool of
+// more than one thread (--threads); with more shards it has no effect.
 //
 // Self-healing (DESIGN.md §13) is on by default: every /extract feeds a
 // per-(site, attribute) drift detector; a drifted pair is re-induced on
@@ -83,7 +85,10 @@ constexpr char kUsage[] =
     "                 [--drift-window N] [--drift-empty-streak N]\n"
     "                 [--drift-hysteresis N] [--drift-cooldown N]\n"
     "                 [--drift-retain K] [--reinduce-threads N]\n"
-    "                 [--reinduce-queue N]\n";
+    "                 [--reinduce-queue N]\n"
+    "--max-inflight is checked only on worker-pool dispatch (--shards 1 and\n"
+    "a pool of more than one thread); the default one shard per core\n"
+    "handles each request inline and never checks it.\n";
 
 serve::HttpServer* g_server = nullptr;
 
