@@ -18,12 +18,20 @@ namespace ntw::core {
 ///
 /// Feature-based form (Theorem 4 discussion): attributes L1..Lk / R1..Rk
 /// where Lk's value is the k characters immediately preceding the node.
-/// The feature space is never materialized; Subdivide() groups nodes by
-/// their k-character context directly.
+/// These are nested equivalence relations, so the feature space is never
+/// materialized: Attributes() sorts the labels' contexts once per side
+/// (left contexts by their bytes read backwards) and records the common
+/// length of each pair of sorted neighbours. The labels sharing a
+/// k-character context are then a run of neighbours whose common lengths
+/// are all >= k. Attributes() emits only the lengths at which that
+/// partition can change, and Subdivide() splits a subset's sorted run
+/// where a common length falls below k. The index lives in a per-thread
+/// cache next to the flattened pages it points into (lr_inductor.cc).
 ///
-/// Contexts are capped at `max_context` characters. The cap only matters
-/// for near-singleton label sets (where the true LR delimiter is the whole
-/// page prefix); with ≥2 labels the common context is naturally short.
+/// Contexts are capped at `max_context` characters, and so are the
+/// lengths Attributes() emits. The cap only matters for near-singleton
+/// label sets (where the true LR delimiter is the whole page prefix); with
+/// ≥2 labels the common context is naturally short.
 class LrInductor : public FeatureBasedInductor {
  public:
   explicit LrInductor(size_t max_context = 256)
@@ -40,16 +48,6 @@ class LrInductor : public FeatureBasedInductor {
   size_t max_context() const { return max_context_; }
 
  private:
-  /// Per-PageSet flattened views, built lazily and cached per *thread*
-  /// (the enumeration engine calls Induce from pool workers; a
-  /// thread-local cache needs no locking and each worker amortizes the
-  /// flattening across its share of the subsets). The cache is validated
-  /// by PageSet::id(), which is unique per instance lifetime, so a
-  /// recreated page set reusing a freed address can never be served stale
-  /// views. The returned reference is valid until the same thread calls
-  /// Views() with a different PageSet.
-  static const std::vector<text::CharView>& Views(const PageSet& pages);
-
   size_t max_context_;
 };
 

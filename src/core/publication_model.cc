@@ -42,6 +42,15 @@ std::vector<std::pair<size_t, size_t>> SamplePairs(size_t n) {
   return pairs;
 }
 
+/// Number of text tokens (#text or a typed text token) in `tokens`.
+int TextCount(const std::vector<int>& tokens) {
+  int count = 0;
+  for (int token : tokens) {
+    if (token <= kTextToken) ++count;
+  }
+  return count;
+}
+
 }  // namespace
 
 PageTokens::PageTokens(const PageSet& pages) {
@@ -154,26 +163,25 @@ ListFeatures ComputeListFeatures(const std::vector<Segment>& segments,
     return features;
   }
   if (segments.size() == 1) {
-    int text_count = 0;
-    for (int token : segments[0]) {
-      if (token <= kTextToken) ++text_count;
-    }
-    features.schema_size = text_count;
+    features.schema_size = TextCount(segments[0]);
     return features;
   }
 
   std::vector<double> schema_samples;
   int max_distance = 0;
   for (const auto& [i, j] : SamplePairs(segments.size())) {
-    align::CommonSubstring common =
-        align::LongestCommonSubstring(segments[i], segments[j]);
-    int text_count = 0;
-    for (int token : common.tokens) {
-      if (token <= kTextToken) ++text_count;
+    // Equal segments (the common case on a regular list) need neither DP:
+    // their longest common substring is the segment itself and their
+    // distance is 0, capped as EditDistanceBounded caps it.
+    const bool equal = segments[i] == segments[j];
+    align::CommonSubstring common;
+    if (!equal) {
+      common = align::LongestCommonSubstring(segments[i], segments[j]);
     }
-    schema_samples.push_back(text_count);
-    int distance = align::EditDistanceBounded(segments[i], segments[j],
-                                              alignment_cap);
+    schema_samples.push_back(TextCount(equal ? segments[i] : common.tokens));
+    int distance = equal ? std::min(0, alignment_cap)
+                         : align::EditDistanceBounded(
+                               segments[i], segments[j], alignment_cap);
     max_distance = std::max(max_distance, distance);
   }
   features.schema_size = stats::Median(schema_samples);

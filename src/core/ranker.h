@@ -38,8 +38,9 @@ class Ranker {
         variant_(variant) {}
 
   /// Scores every candidate, returned best-first. Ties break toward the
-  /// larger extraction (the more general wrapper), then lower index, so
-  /// ranking is deterministic.
+  /// larger extraction (the more general wrapper), then toward the lower
+  /// extraction fingerprint (NodeSet::Fingerprint), then the lower index,
+  /// so ranking is deterministic.
   std::vector<ScoredCandidate> Rank(const WrapperSpace& space,
                                     const PageSet& pages,
                                     const NodeSet& labels) const;

@@ -65,8 +65,9 @@ class WrapperInductor {
 
 /// Opaque handle for an attribute of a feature-based inductor (Sec. 4.2).
 /// Meaning is inductor-specific (e.g. "ancestor distance 2, tag name" for
-/// XPATH; "left context of length 7" for LR).
-using AttrHandle = int;
+/// XPATH; "left context of length 7" for LR). 64 bits, so that XPATH can
+/// pack any ancestor distance and attribute-name id without overlap.
+using AttrHandle = int64_t;
 
 /// A feature-based inductor (Sec. 4.2): φ(L) = {n | F(n) ⊇ ∩_{ℓ∈L} F(ℓ)}.
 /// TopDown enumeration only needs the two extra hooks below; the feature

@@ -17,30 +17,51 @@ class EmptyXPathWrapper : public Wrapper {
   std::string ToString() const override { return "XPATH(empty)"; }
 };
 
-/// Ancestors of a node from distance 1 upward, excluding the synthetic
-/// document root.
-std::vector<const html::Node*> AncestorChain(const html::Node* node) {
-  std::vector<const html::Node*> chain;
+/// Number of element ancestors of a node (its distance from the
+/// synthetic document root, minus one).
+size_t Depth(const html::Node* node) {
+  size_t depth = 0;
   for (const html::Node* cur = node->parent();
        cur != nullptr && cur->is_element(); cur = cur->parent()) {
-    chain.push_back(cur);
+    ++depth;
   }
-  return chain;
+  return depth;
 }
 
-// Attribute-handle layout: pos (12 bits) | kind (2 bits) | name id (18
-// bits). Attribute names are interned in a process-wide append-only table
-// so handles stay decodable across calls.
+/// The ancestor of a node at distance `pos` >= 1, or nullptr when the node
+/// has fewer than `pos` element ancestors.
+const html::Node* AncestorAt(const html::Node* node, int pos) {
+  for (int i = 0; i < pos && node != nullptr; ++i) node = node->parent();
+  return node != nullptr && node->is_element() ? node : nullptr;
+}
+
+// Attribute-handle layout, from the most significant bit: pos (31 bits) |
+// kind (2 bits) | name id (31 bits). pos and the name id are non-negative
+// ints, so no field can spill into another, and handles compared as
+// unsigned integers order by (pos, kind, name id). Attribute names are
+// interned in a process-wide append-only table so handles stay decodable
+// across calls.
 constexpr int kKindTag = 0;
 constexpr int kKindTagChildNumber = 1;
 constexpr int kKindAttr = 2;
+constexpr int kPosShift = 33;
+constexpr int kKindShift = 31;
 
 AttrHandle MakeHandle(int pos, int kind, int name_id) {
-  return (pos << 20) | (kind << 18) | name_id;
+  return static_cast<AttrHandle>(
+      (static_cast<uint64_t>(pos) << kPosShift) |
+      (static_cast<uint64_t>(kind) << kKindShift) |
+      static_cast<uint64_t>(name_id));
 }
-int HandlePos(AttrHandle h) { return h >> 20; }
-int HandleKind(AttrHandle h) { return (h >> 18) & 0x3; }
-int HandleNameId(AttrHandle h) { return h & 0x3ffff; }
+int HandlePos(AttrHandle h) {
+  return static_cast<int>(static_cast<uint64_t>(h) >> kPosShift);
+}
+int HandleKind(AttrHandle h) {
+  return static_cast<int>((static_cast<uint64_t>(h) >> kKindShift) & 0x3);
+}
+int HandleNameId(AttrHandle h) {
+  return static_cast<int>(static_cast<uint64_t>(h) & 0x7fffffff);
+}
 
 class AttrNameTable {
  public:
@@ -82,19 +103,19 @@ xpath::Expr XPathInductor::LearnExpr(const PageSet& pages,
                                      const NodeSet& labels) const {
   assert(!labels.empty());
 
-  // Resolve labels to text nodes and their ancestor chains.
+  // Resolve labels to text nodes.
   std::vector<const html::Node*> nodes;
-  std::vector<std::vector<const html::Node*>> chains;
   for (const NodeRef& ref : labels) {
     const html::Node* node = pages.Resolve(ref);
     if (node == nullptr || !node->is_text()) continue;
     nodes.push_back(node);
-    chains.push_back(AncestorChain(node));
   }
   assert(!nodes.empty());
 
-  size_t min_depth = chains[0].size();
-  for (const auto& chain : chains) min_depth = std::min(min_depth, chain.size());
+  size_t min_depth = Depth(nodes[0]);
+  for (const html::Node* node : nodes) {
+    min_depth = std::min(min_depth, Depth(node));
+  }
 
   // Position-0 child number of the text node itself.
   std::optional<int> text_child_number = nodes[0]->sibling_index() + 1;
@@ -105,18 +126,20 @@ xpath::Expr XPathInductor::LearnExpr(const PageSet& pages,
     }
   }
 
+  // Steps from position 1 up to the highest shared position, walking every
+  // label's ancestors in lockstep; reversed into path order below.
   xpath::Expr expr;
-  // Steps from the highest shared position down to position 1.
-  for (size_t pos = min_depth; pos >= 1; --pos) {
+  std::vector<const html::Node*> ancestors = nodes;
+  for (size_t pos = 1; pos <= min_depth; ++pos) {
+    for (const html::Node*& anc : ancestors) anc = anc->parent();
     xpath::Step step;
     step.axis = (pos == min_depth) ? xpath::Axis::kDescendant
                                    : xpath::Axis::kChild;
 
-    const html::Node* first = chains[0][pos - 1];
+    const html::Node* first = ancestors[0];
     bool tag_common = true;
     bool child_number_common = true;
-    for (const auto& chain : chains) {
-      const html::Node* anc = chain[pos - 1];
+    for (const html::Node* anc : ancestors) {
       if (anc->tag() != first->tag()) tag_common = false;
       if (anc->same_tag_child_number() != first->same_tag_child_number()) {
         child_number_common = false;
@@ -136,8 +159,8 @@ xpath::Expr XPathInductor::LearnExpr(const PageSet& pages,
     // position-pos ancestor of every label.
     for (const auto& [name, value] : first->attrs()) {
       bool common = true;
-      for (const auto& chain : chains) {
-        const std::string* other = chain[pos - 1]->GetAttr(name);
+      for (const html::Node* anc : ancestors) {
+        const std::string* other = anc->GetAttr(name);
         if (other == nullptr || *other != value) {
           common = false;
           break;
@@ -148,6 +171,7 @@ xpath::Expr XPathInductor::LearnExpr(const PageSet& pages,
     std::sort(step.attr_filters.begin(), step.attr_filters.end());
     expr.steps.push_back(std::move(step));
   }
+  std::reverse(expr.steps.begin(), expr.steps.end());
 
   // Strip the maximal prefix of unconstrained `*` steps: a bare `*` at
   // the top encodes only "some ancestor exists at that distance", which is
@@ -189,35 +213,57 @@ Induction XPathInductor::Induce(const PageSet& pages,
     return result;
   }
   auto wrapper = std::make_shared<XPathWrapper>(LearnExpr(pages, labels));
-  result.extraction = wrapper->Extract(pages).Union(labels);
+  // φ(L)'s extraction by the feature semantics {n | F(n) ⊇ ∩F(ℓ)}: a text
+  // node is extracted when it passes the learned text() step and its
+  // ancestors at distances 1..m pass step_m..step_1. LearnExpr emits a
+  // descendant first step, then child steps, then text(), so this is
+  // exactly the expression's evaluation from the root (Extract, which
+  // tests check it against), without walking every page top-down.
+  const std::vector<xpath::Step>& steps = wrapper->expr().steps;
+  std::vector<NodeRef> out;
+  for (size_t p = 0; p < pages.size(); ++p) {
+    for (const html::Node* node : pages.page(p).text_nodes()) {
+      if (!xpath::StepMatches(steps.back(), node)) continue;
+      const html::Node* anc = node;
+      size_t i = steps.size() - 1;
+      for (; i > 0; --i) {
+        anc = anc->parent();
+        if (anc == nullptr || !xpath::StepMatches(steps[i - 1], anc)) break;
+      }
+      if (i == 0) {
+        out.push_back(NodeRef{static_cast<int>(p), node->preorder_index()});
+      }
+    }
+  }
+  result.extraction = NodeSet(std::move(out)).Union(labels);
   result.wrapper = std::move(wrapper);
   return result;
 }
 
 std::vector<AttrHandle> XPathInductor::Attributes(
     const PageSet& pages, const NodeSet& labels) const {
-  std::vector<AttrHandle> attrs;
-  if (labels.empty()) return attrs;
+  if (labels.empty()) return {};
 
-  std::map<AttrHandle, bool> seen;
-  seen[MakeHandle(0, kKindTagChildNumber, 0)] = true;
-
+  std::vector<AttrHandle> attrs = {MakeHandle(0, kKindTagChildNumber, 0)};
   for (const NodeRef& ref : labels) {
     const html::Node* node = pages.Resolve(ref);
     if (node == nullptr || !node->is_text()) continue;
-    auto chain = AncestorChain(node);
-    for (size_t pos = 1; pos <= chain.size(); ++pos) {
-      const html::Node* anc = chain[pos - 1];
-      seen[MakeHandle(static_cast<int>(pos), kKindTag, 0)] = true;
-      seen[MakeHandle(static_cast<int>(pos), kKindTagChildNumber, 0)] = true;
+    int pos = 1;
+    for (const html::Node* anc = node->parent();
+         anc != nullptr && anc->is_element(); anc = anc->parent(), ++pos) {
+      attrs.push_back(MakeHandle(pos, kKindTag, 0));
+      attrs.push_back(MakeHandle(pos, kKindTagChildNumber, 0));
       for (const auto& [name, value] : anc->attrs()) {
         int name_id = NameTable().Intern(name);
-        seen[MakeHandle(static_cast<int>(pos), kKindAttr, name_id)] = true;
+        attrs.push_back(MakeHandle(pos, kKindAttr, name_id));
       }
     }
   }
-  attrs.reserve(seen.size());
-  for (const auto& [handle, _] : seen) attrs.push_back(handle);
+  auto unsigned_less = [](AttrHandle a, AttrHandle b) {
+    return static_cast<uint64_t>(a) < static_cast<uint64_t>(b);
+  };
+  std::sort(attrs.begin(), attrs.end(), unsigned_less);
+  attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
   return attrs;
 }
 
@@ -238,9 +284,8 @@ std::vector<NodeSet> XPathInductor::Subdivide(const PageSet& pages,
     if (pos == 0) {
       value = std::to_string(node->sibling_index() + 1);
     } else {
-      auto chain = AncestorChain(node);
-      if (static_cast<size_t>(pos) > chain.size()) continue;  // No attribute.
-      const html::Node* anc = chain[static_cast<size_t>(pos) - 1];
+      const html::Node* anc = AncestorAt(node, pos);
+      if (anc == nullptr) continue;  // No attribute.
       switch (kind) {
         case kKindTag:
           value = anc->tag();

@@ -25,9 +25,15 @@ namespace ntw::core {
 /// φ(L) takes the intersection of the labels' features and emits the xpath
 ///   //step_m/.../step_1/text()[c?]
 /// where m is the minimum label depth and step_i realises the common
-/// position-i features (`*` when none). Extraction is evaluation of that
-/// xpath over the pages, which coincides with the feature-based semantics
-/// {n | F(n) ⊇ ∩ F(ℓ)}.
+/// position-i features (`*` when none). Induce() computes the extraction
+/// by the feature-based semantics {n | F(n) ⊇ ∩ F(ℓ)}, bottom-up: a text
+/// node is extracted when it passes text()[c?] and its ancestor at each
+/// distance i passes step_i (xpath::StepMatches). For this path shape that
+/// equals evaluating the xpath from the root, which XPathWrapper::Extract
+/// does and tests check Induce() against.
+///
+/// Attribute handles pack (distance, kind, attribute-name id) into the
+/// 64-bit AttrHandle without overlap, at any nesting depth.
 class XPathInductor : public FeatureBasedInductor {
  public:
   Induction Induce(const PageSet& pages, const NodeSet& labels) const override;

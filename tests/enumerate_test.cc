@@ -215,6 +215,45 @@ TEST(EnumerateTest, AgreementOnGeneratedDealerSites) {
   }
 }
 
+// One page with two 3-item lists that differ only in the class of a
+// <section> `levels` ancestors above each item's text.
+PageSet DeepListsPage(int levels) {
+  std::string html = "<html><body>";
+  for (const std::string cls : {"left", "right"}) {
+    html += "<section class='" + cls + "'>";
+    for (int i = 0; i < levels - 3; ++i) html += "<div>";
+    html += "<ul>";
+    for (int item = 1; item <= 3; ++item) {
+      html += "<li>" + cls + std::to_string(item) + "</li>";
+    }
+    html += "</ul>";
+    for (int i = 0; i < levels - 3; ++i) html += "</div>";
+    html += "</section>";
+  }
+  html += "</body></html>";
+  PageSet pages;
+  pages.AddPage(testing::MustParse(html));
+  return pages;
+}
+
+// Regression: XPATH attribute handles packed the ancestor distance into 12
+// bits and the attribute-name id into 18 of an int, so a label more than
+// 2047 levels deep spilled into the neighbouring fields and TopDown
+// silently dropped subdivisions (4 candidates where BottomUp found 12).
+TEST(EnumerateTest, DeepLabelsKeepAlgorithmsInAgreement) {
+  XPathInductor inductor;
+  for (int levels : {2100, 4100}) {
+    PageSet pages = DeepListsPage(levels);
+    NodeSet labels = pages.AllTextNodes();
+    ASSERT_EQ(labels.size(), 6u);
+    WrapperSpace bottom_up = EnumerateBottomUp(inductor, pages, labels);
+    WrapperSpace top_down = EnumerateTopDown(inductor, pages, labels);
+    EXPECT_EQ(bottom_up.size(), 12u) << levels << " levels";
+    EXPECT_EQ(Fingerprints(bottom_up), Fingerprints(top_down))
+        << levels << " levels";
+  }
+}
+
 TEST(EnumerateTest, NaiveRejectsTooManyLabels) {
   PageSet pages = testing::FigureOnePages();
   NodeSet labels = pages.AllTextNodes();

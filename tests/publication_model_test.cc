@@ -1,6 +1,12 @@
 #include "core/publication_model.h"
 
+#include <algorithm>
+#include <utility>
+
+#include "align/edit_distance.h"
+#include "common/rng.h"
 #include "gtest/gtest.h"
+#include "stats/kde.h"
 #include "test_util.h"
 
 namespace ntw::core {
@@ -148,6 +154,117 @@ TEST(ListFeaturesTest, AlignmentCapped) {
   segments.push_back(Segment(300, 2));
   ListFeatures features = ComputeListFeatures(segments, /*alignment_cap=*/64);
   EXPECT_EQ(features.alignment, 64.0);
+}
+
+// ------------------------------- ComputeListFeatures against both DPs.
+
+// The pair sample ComputeListFeatures scores, copied from
+// publication_model.cc: every pair up to 12 segments, adjacent and
+// strided pairs beyond.
+std::vector<std::pair<size_t, size_t>> ReferencePairs(size_t n) {
+  std::vector<std::pair<size_t, size_t>> pairs;
+  if (n < 2) return pairs;
+  if (n <= 12) {
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
+    }
+    return pairs;
+  }
+  constexpr size_t kMaxPairs = 64;
+  size_t adjacent = kMaxPairs / 2;
+  for (size_t k = 0; k < adjacent; ++k) {
+    size_t i = k * (n - 1) / adjacent;
+    pairs.emplace_back(i, i + 1);
+  }
+  size_t far = kMaxPairs - pairs.size();
+  for (size_t k = 0; k < far; ++k) {
+    size_t i = k * (n / 2) / far;
+    size_t j = i + n / 2;
+    if (j < n && i != j) pairs.emplace_back(i, j);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  return pairs;
+}
+
+// ComputeListFeatures as it was before equal pairs skipped the DPs: the
+// longest common substring and the bounded edit distance of every pair.
+ListFeatures ReferenceListFeatures(const std::vector<Segment>& segments,
+                                   int alignment_cap) {
+  ListFeatures features;
+  features.segment_count = static_cast<int>(segments.size());
+  if (segments.empty()) return features;
+  auto text_count = [](const std::vector<int>& tokens) {
+    int count = 0;
+    for (int token : tokens) {
+      if (token <= 0) ++count;
+    }
+    return count;
+  };
+  if (segments.size() == 1) {
+    features.schema_size = text_count(segments[0]);
+    return features;
+  }
+  std::vector<double> schema_samples;
+  int max_distance = 0;
+  for (const auto& [i, j] : ReferencePairs(segments.size())) {
+    schema_samples.push_back(text_count(
+        align::LongestCommonSubstring(segments[i], segments[j]).tokens));
+    max_distance = std::max(
+        max_distance,
+        align::EditDistanceBounded(segments[i], segments[j], alignment_cap));
+  }
+  features.schema_size = stats::Median(schema_samples);
+  features.alignment = max_distance;
+  return features;
+}
+
+void ExpectSameFeatures(const std::vector<Segment>& segments, int cap) {
+  ListFeatures got = ComputeListFeatures(segments, cap);
+  ListFeatures want = ReferenceListFeatures(segments, cap);
+  EXPECT_EQ(got.schema_size, want.schema_size) << "cap " << cap;
+  EXPECT_EQ(got.alignment, want.alignment) << "cap " << cap;
+  EXPECT_EQ(got.segment_count, want.segment_count) << "cap " << cap;
+}
+
+TEST(ListFeaturesTest, MatchesBothDpsOnEqualEmptyAndDifferingPairs) {
+  const Segment record = {-1, 3, 0, 4, 0, 5};
+  const Segment shifted = {0, 4, 0, 5, -1, 3};
+  const Segment empty;
+  const std::vector<std::vector<Segment>> lists = {
+      {record, record},                    // One equal pair.
+      {record, record, record, record},    // Only equal pairs.
+      {empty, empty},                      // Equal and empty.
+      {empty, record},                     // Empty against non-empty.
+      {record, shifted},                   // Differing pair.
+      {record, shifted, record, empty, record, shifted},
+      std::vector<Segment>(40, record),    // Sampled pairs, all equal.
+  };
+  for (int cap : {0, 1, 128}) {
+    for (const std::vector<Segment>& segments : lists) {
+      ExpectSameFeatures(segments, cap);
+    }
+  }
+}
+
+TEST(ListFeaturesTest, MatchesBothDpsOnRandomLists) {
+  // Segments drawn from a small pool, so equal pairs are common, including
+  // empty segments and typed text tokens; lists long enough to be sampled.
+  Rng rng(41);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<Segment> pool(1 + rng.NextBounded(4));
+    for (Segment& segment : pool) {
+      segment.resize(rng.NextBounded(9));
+      for (int& token : segment) {
+        token = static_cast<int>(rng.NextInRange(-2, 4));
+      }
+    }
+    std::vector<Segment> segments(rng.NextBounded(30));
+    for (Segment& segment : segments) {
+      segment = pool[rng.NextBounded(pool.size())];
+    }
+    for (int cap : {0, 1, 128}) ExpectSameFeatures(segments, cap);
+  }
 }
 
 TEST(PublicationModelTest, FitRequiresData) {

@@ -1,5 +1,9 @@
 #include "core/xpath_inductor.h"
 
+#include "common/rng.h"
+#include "datasets/dealers.h"
+#include "datasets/disc.h"
+#include "datasets/products.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "xpath/parser.h"
@@ -147,6 +151,87 @@ TEST_F(XPathInductorTest, RuleIsParseableByOwnParser) {
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
   XPathWrapper wrapper(std::move(reparsed).value());
   EXPECT_EQ(wrapper.Extract(pages_), induction.extraction);
+}
+
+// ------------------------------- Induce's bottom-up φ vs the interpreter.
+
+// Induce computes φ(L)'s extraction bottom-up from each text node; the
+// interpreter evaluates the same learned xpath top-down from the root.
+// They must agree on every label set: `trials` random subsets of the
+// text nodes, and as many of `annotated` (where regular rules come from).
+void ExpectInduceMatchesInterpreter(const PageSet& pages,
+                                    const NodeSet& annotated, Rng* rng,
+                                    int trials) {
+  XPathInductor inductor;
+  const NodeSet text = pages.AllTextNodes();
+  for (const NodeSet* pool : {&text, &annotated}) {
+    if (pool->empty()) continue;
+    for (int trial = 0; trial < trials; ++trial) {
+      std::vector<NodeRef> refs;
+      size_t want = 1 + rng->NextBounded(6);
+      for (size_t i = 0; i < want; ++i) {
+        refs.push_back((*pool)[rng->NextBounded(pool->size())]);
+      }
+      NodeSet labels(std::move(refs));
+      XPathWrapper oracle(inductor.LearnExpr(pages, labels));
+      EXPECT_EQ(inductor.Induce(pages, labels).extraction,
+                oracle.Extract(pages).Union(labels))
+          << oracle.ToString() << " labels=" << labels.ToString();
+    }
+  }
+}
+
+// Every annotation of a site, whatever its type.
+NodeSet AllAnnotations(const datasets::SiteData& data) {
+  NodeSet all;
+  for (const auto& [type, set] : data.annotations) all = all.Union(set);
+  return all;
+}
+
+TEST(XPathPhiTest, BottomUpMatchesInterpreterOnDealers) {
+  datasets::DealersConfig config;
+  config.num_sites = 6;
+  config.pages_per_site = 4;
+  Rng rng(3);
+  for (const datasets::SiteData& data : datasets::MakeDealers(config).sites) {
+    ExpectInduceMatchesInterpreter(data.site.pages, AllAnnotations(data),
+                                   &rng, 12);
+  }
+}
+
+TEST(XPathPhiTest, BottomUpMatchesInterpreterOnDisc) {
+  datasets::DiscConfig config;
+  config.num_sites = 4;
+  Rng rng(5);
+  for (const datasets::SiteData& data : datasets::MakeDisc(config).sites) {
+    ExpectInduceMatchesInterpreter(data.site.pages, AllAnnotations(data),
+                                   &rng, 12);
+  }
+}
+
+TEST(XPathPhiTest, BottomUpMatchesInterpreterOnProducts) {
+  datasets::ProductsConfig config;
+  config.num_sites = 4;
+  config.pages_per_site = 3;
+  Rng rng(7);
+  for (const datasets::SiteData& data :
+       datasets::MakeProducts(config).sites) {
+    ExpectInduceMatchesInterpreter(data.site.pages, AllAnnotations(data),
+                                   &rng, 12);
+  }
+}
+
+TEST(XPathPhiTest, BottomUpMatchesInterpreterOnTagSoup) {
+  // Recovered tag soup: text under the document root, under void and
+  // implied-closed elements, and at every depth.
+  Rng rng(11);
+  for (int site = 0; site < 40; ++site) {
+    PageSet pages;
+    for (int p = 0; p < 3; ++p) {
+      pages.AddPage(MustParse(testing::RandomSoup(&rng, 60)));
+    }
+    ExpectInduceMatchesInterpreter(pages, NodeSet(), &rng, 8);
+  }
 }
 
 }  // namespace
