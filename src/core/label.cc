@@ -81,8 +81,8 @@ std::string NodeSet::ToString() const {
   std::string out = "{";
   for (size_t i = 0; i < refs_.size(); ++i) {
     if (i > 0) out += ",";
-    out += "(" + std::to_string(refs_[i].page) + "," +
-           std::to_string(refs_[i].node) + ")";
+    out.append("(").append(std::to_string(refs_[i].page)).append(",");
+    out.append(std::to_string(refs_[i].node)).append(")");
   }
   out += "}";
   return out;

@@ -57,7 +57,7 @@ std::string NormalizePath(std::string_view path) {
     out += '/';
     out += segment;
   }
-  if (out.empty()) out = "/";
+  if (out.empty()) out.push_back('/');
   // A trailing slash is significant for directory-ish targets (and for
   // robots prefix rules); keep it when the input had one.
   if (path.size() > 1 && path.back() == '/' && out.back() != '/') out += '/';

@@ -548,7 +548,8 @@ Result<Regex> Regex::Compile(std::string_view pattern) {
   NTW_ASSIGN_OR_RETURN(std::unique_ptr<Node> root, parser.Parse());
   // Anchored variant "(pattern)$" used by FullMatch: the end anchor makes
   // the backtracker explore alternatives until the whole input is consumed.
-  std::string anchored_pattern = "(" + std::string(pattern) + ")$";
+  std::string anchored_pattern = "(";
+  anchored_pattern.append(pattern).append(")$");
   PatternParser anchored_parser(anchored_pattern);
   NTW_ASSIGN_OR_RETURN(std::unique_ptr<Node> anchored_root,
                        anchored_parser.Parse());

@@ -28,6 +28,13 @@ bool FieldPresent(const ListRecord& record, size_t i) {
   return true;
 }
 
+/// The class of auxiliary field i's element: "f1", "f2", ...
+std::string FieldClass(size_t i) {
+  std::string cls = "f";
+  cls.append(std::to_string(i));
+  return cls;
+}
+
 }  // namespace
 
 ListRecord ListRecord::Of(std::vector<std::string> fields) {
@@ -178,8 +185,7 @@ void ListTemplate::RenderDivBlocks(
     html::Node* name_span = b->El(block, "span", {{"class", "name"}});
     EmitPrimary(b, name_span, record);
     for (size_t i = 1; i < num_fields_ && i < record.fields.size(); ++i) {
-      html::Node* field_div = b->El(
-          block, "div", {{"class", "f" + std::to_string(i)}});
+      html::Node* field_div = b->El(block, "div", {{"class", FieldClass(i)}});
       if (field_label_spans_) {
         b->Text(b->El(field_div, "span", {{"class", "lbl"}}),
                 kLabels[(i - 1) % kLabels.size()]);
@@ -202,8 +208,7 @@ void ListTemplate::RenderListItems(
     for (size_t i = 1; i < num_fields_ && i < record.fields.size(); ++i) {
       b->Text(li, bullet_);
       if (FieldPresent(record, i)) {
-        html::Node* span =
-            b->El(li, "span", {{"class", "f" + std::to_string(i)}});
+        html::Node* span = b->El(li, "span", {{"class", FieldClass(i)}});
         EmitField(b, span, record, i);
       }
     }
@@ -222,8 +227,7 @@ void ListTemplate::RenderHeadingBlocks(
     html::Node* heading = b->El(container, "h3");
     EmitPrimary(b, heading, record);
     for (size_t i = 1; i < num_fields_ && i < record.fields.size(); ++i) {
-      html::Node* p = b->El(container, "p",
-                            {{"class", "f" + std::to_string(i)}});
+      html::Node* p = b->El(container, "p", {{"class", FieldClass(i)}});
       if (FieldPresent(record, i)) EmitField(b, p, record, i);
     }
     if (trailing_link_) {

@@ -302,7 +302,9 @@ std::vector<std::string> PhoneModelCatalogue(size_t per_brand,
 }
 
 std::string Price(Rng* rng) {
-  return "$" + std::to_string(rng->NextInRange(19, 799)) + ".99";
+  std::string price = "$";
+  price.append(std::to_string(rng->NextInRange(19, 799))).append(".99");
+  return price;
 }
 
 std::string ManufacturerBrand(Rng* rng) {

@@ -22,10 +22,10 @@ std::string Step::ToString() const {
       break;
   }
   if (child_number.has_value()) {
-    out += "[" + std::to_string(*child_number) + "]";
+    out.append("[").append(std::to_string(*child_number)).append("]");
   }
   for (const auto& [name, value] : attr_filters) {
-    out += "[@" + name + "='" + value + "']";
+    out.append("[@").append(name).append("='").append(value).append("']");
   }
   return out;
 }
