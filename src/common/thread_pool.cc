@@ -14,18 +14,16 @@ namespace {
 /// per index), so instrumentation adds O(1) relaxed atomics per
 /// ParallelFor — nothing on the index hot path.
 struct PoolMetrics {
-  obs::Counter* parallel_for;     // Fanned-out loops.
-  obs::Counter* inline_loops;     // Loops degraded to inline execution.
-  obs::Counter* tasks;            // Total indices executed.
-  obs::Counter* submitted_tasks;  // Fire-and-forget Submit() tasks.
-  obs::Gauge* threads;            // Width of the most recent pool.
+  obs::Counter* parallel_for;  // Fanned-out loops.
+  obs::Counter* inline_loops;  // Loops degraded to inline execution.
+  obs::Counter* tasks;         // Total indices executed.
+  obs::Gauge* threads;         // Width of the most recent pool.
 
   static PoolMetrics& Get() {
     static PoolMetrics m{
         obs::Registry::Global().GetCounter("ntw.pool.parallel_for"),
         obs::Registry::Global().GetCounter("ntw.pool.inline_loops"),
         obs::Registry::Global().GetCounter("ntw.pool.tasks"),
-        obs::Registry::Global().GetCounter("ntw.pool.submitted_tasks"),
         obs::Registry::Global().GetGauge("ntw.pool.threads"),
     };
     return m;
@@ -160,34 +158,6 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     return state->completed.load() == state->n;
   });
   if (state->error) std::rethrow_exception(state->error);
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  PoolMetrics::Get().submitted_tasks->Add(1);
-  // A submitted task is standalone work, not a share of a ParallelFor:
-  // clear the worker's in-pool-work mark for its duration so nested
-  // ParallelFor calls fan out instead of degrading to inline execution.
-  auto run = [t = std::move(task)] {
-    bool saved = t_in_pool_work;
-    t_in_pool_work = false;
-    t();
-    t_in_pool_work = saved;
-  };
-  if (threads_ == 1) {
-    run();
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(run));
-  }
-  cv_.notify_one();
-}
-
-void ThreadPool::TaskGroup::Run() {
-  std::vector<std::function<void()>> tasks = std::move(tasks_);
-  tasks_.clear();
-  pool_->ParallelFor(tasks.size(), [&tasks](size_t i) { tasks[i](); });
 }
 
 namespace {

@@ -44,30 +44,6 @@ class ThreadPool {
   /// the loop has drained.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
-  /// Enqueues a standalone fire-and-forget task for the workers and
-  /// returns immediately — the serving layer's dispatch path. On a serial
-  /// pool (threads() == 1 spawns no workers) the task runs inline in the
-  /// caller before Submit returns. Unlike ParallelFor helper tasks, a
-  /// submitted task does not count as "pool work": a ParallelFor issued
-  /// from inside it fans out normally, which is deadlock-free because the
-  /// ParallelFor caller always participates and can drain the whole loop
-  /// itself even when every other worker is busy. Tasks still queued at
-  /// pool destruction are executed before the workers join.
-  void Submit(std::function<void()> task);
-
-  /// A batch of heterogeneous tasks executed with ParallelFor semantics.
-  class TaskGroup {
-   public:
-    explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
-    void Add(std::function<void()> task) { tasks_.push_back(std::move(task)); }
-    /// Runs every added task, blocks until done, then clears the group.
-    void Run();
-
-   private:
-    ThreadPool* pool_;
-    std::vector<std::function<void()>> tasks_;
-  };
-
   /// The process-wide pool used by the enumeration stack. Created on first
   /// use with GlobalThreads() width.
   static ThreadPool& Global();

@@ -60,9 +60,8 @@ std::string SerializeResponse(const HttpResponse& response, bool keep_alive);
 /// Appends just the status line + headers (through the final CRLF CRLF)
 /// to `*out` without clearing it — the server batches pipelined responses
 /// by serializing each one onto the connection's wire buffer, and reuses
-/// that buffer's capacity across keep-alive responses. The body is either
-/// appended after the head (batched inline responses) or written
-/// separately (gathered writev-style) from its own buffer.
+/// that buffer's capacity across keep-alive responses. The body is
+/// appended after the head.
 void SerializeResponseHead(const HttpResponse& response, bool keep_alive,
                            std::string* out);
 
@@ -94,19 +93,16 @@ class RequestParser {
 
   enum class Phase {
     kNeedMore,  // Waiting for more bytes.
-    kComplete,  // A full request is available via TakeRequest().
+    kComplete,  // A full request is available via request().
     kError,     // Malformed / over-limit; see error_status().
   };
 
   /// Consumes as much of `in` as possible and advances the state machine.
   Phase Consume(std::string* in);
 
-  /// Moves the parsed request out; only valid after kComplete.
-  HttpRequest TakeRequest() { return std::move(request_); }
-
-  /// The parsed request in place; only valid after kComplete. The inline
-  /// serving path reads it here and then Reset()s, so the request's buffers
-  /// (body, header slots) keep their capacity from request to request.
+  /// The parsed request in place; only valid after kComplete. The server
+  /// reads it here and then Reset()s, so the request's buffers (body,
+  /// header slots) keep their capacity from request to request.
   const HttpRequest& request() const { return request_; }
 
   /// True once the header block has been fully parsed.

@@ -6,7 +6,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -30,14 +29,11 @@ struct ServerMetrics {
   obs::ShardedCounter* responses_2xx;
   obs::ShardedCounter* responses_4xx;
   obs::ShardedCounter* responses_5xx;
-  obs::ShardedCounter* rejected_overload;
   obs::ShardedCounter* rejected_too_large;
   obs::ShardedCounter* parse_errors;
   obs::ShardedCounter* read_timeouts;
   obs::ShardedCounter* write_timeouts;
-  obs::ShardedCounter* dropped_responses;
   obs::ShardedCounter* drain_forced_closes;
-  obs::Gauge* inflight;
   obs::ShardedHistogram* request_body_bytes;
   obs::ShardedHistogram* handle_micros;
 
@@ -49,14 +45,11 @@ struct ServerMetrics {
         registry.GetShardedCounter("ntw.serve.responses_2xx"),
         registry.GetShardedCounter("ntw.serve.responses_4xx"),
         registry.GetShardedCounter("ntw.serve.responses_5xx"),
-        registry.GetShardedCounter("ntw.serve.rejected_overload"),
         registry.GetShardedCounter("ntw.serve.rejected_too_large"),
         registry.GetShardedCounter("ntw.serve.parse_errors"),
         registry.GetShardedCounter("ntw.serve.read_timeouts"),
         registry.GetShardedCounter("ntw.serve.write_timeouts"),
-        registry.GetShardedCounter("ntw.serve.dropped_responses"),
         registry.GetShardedCounter("ntw.serve.drain_forced_closes"),
-        registry.GetGauge("ntw.serve.inflight"),
         registry.GetShardedHistogram("ntw.serve.request_body_bytes"),
         registry.GetShardedHistogram("ntw.serve.handle_micros"),
     };
@@ -141,11 +134,6 @@ HttpServer::~HttpServer() {
 size_t HttpServer::ShardConnCap() const {
   int shards = static_cast<int>(shards_.size());
   return static_cast<size_t>((options_.max_connections + shards - 1) / shards);
-}
-
-int HttpServer::ShardInflightCap() const {
-  int shards = static_cast<int>(shards_.size());
-  return (options_.max_inflight + shards - 1) / shards;
 }
 
 Status HttpServer::BindShardListener(Shard& shard, bool reuseport) {
@@ -358,30 +346,26 @@ void HttpServer::HandleReadable(Shard& shard, uint64_t id, Conn& conn,
       continue;
     }
     if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    // Peer closed (or hard error). A request already dispatched keeps the
-    // connection alive until its completion arrives and fails to write.
-    if (conn.state == Conn::State::kReading) CloseConn(shard, id);
+    CloseConn(shard, id);  // Peer closed (or hard error).
     return;
   }
-  if (conn.state == Conn::State::kReading) TryAdvance(shard, id, conn, now);
+  TryAdvance(shard, id, conn, now);
 }
 
 void HttpServer::TryAdvance(Shard& shard, uint64_t id, Conn& conn,
                             Clock::time_point now) {
-  // Inline mode batches a pipelined window: each complete request is
-  // handled on the spot and its serialized response appended to
-  // conn.out_head (the connection stays in kReading), so the loop keeps
-  // consuming buffered requests and FlushPending below puts the whole
-  // window on the wire with a single sendmsg. Parallel mode dispatches
-  // one request and parks the connection in kProcessing, which exits the
-  // loop exactly as before.
+  // Batches a pipelined window: each complete request is handled on the
+  // spot and its serialized response appended to conn.out (the
+  // connection stays in kReading), so the loop keeps consuming buffered
+  // requests and FlushPending below puts the whole window on the wire
+  // with a single send. The loop ends only when no complete request is
+  // left buffered (or the connection is to close), which is why the
+  // FinishWrite re-entry after that flush never nests deeper.
   for (;;) {
     RequestParser::Phase phase = conn.parser.Consume(&conn.in);
     if (phase == RequestParser::Phase::kComplete) {
-      Dispatch(shard, id, conn, now);
-      if (conn.state == Conn::State::kReading && !conn.close_after_write) {
-        continue;  // Inline response batched; try the next buffered one.
-      }
+      HandleRequest(shard, conn);
+      if (!conn.close_after_write) continue;  // Try the next buffered one.
       break;
     }
     if (phase == RequestParser::Phase::kError) {
@@ -397,17 +381,17 @@ void HttpServer::TryAdvance(Shard& shard, uint64_t id, Conn& conn,
       // pipelined requests ahead of the malformed one still get answers.
       HttpResponse response = ErrorResponse(conn.parser.error_status(),
                                             conn.parser.error_message());
-      SerializeResponseHead(response, /*keep_alive=*/false, &conn.out_head);
-      conn.out_head += response.body;
+      SerializeResponseHead(response, /*keep_alive=*/false, &conn.out);
+      conn.out += response.body;
       break;
     }
     // kNeedMore.
     if (conn.parser.headers_complete() && conn.parser.expects_continue() &&
-        !conn.sent_continue && conn.out_head.empty()) {
+        !conn.sent_continue && conn.out.empty()) {
       // Interim response so clients (curl) do not stall before sending
       // the body. Tiny and sent while the socket buffer is empty, so a
       // best-effort direct send is fine. Deferred while responses are
-      // batched ahead of it (out_head non-empty) to preserve wire order;
+      // batched ahead of it (out non-empty) to preserve wire order;
       // FinishWrite re-enters here once the batch has drained.
       conn.sent_continue = true;
       const char kContinue[] = "HTTP/1.1 100 Continue\r\n\r\n";
@@ -421,26 +405,18 @@ void HttpServer::TryAdvance(Shard& shard, uint64_t id, Conn& conn,
 
 void HttpServer::FlushPending(Shard& shard, uint64_t id, Conn& conn,
                               Clock::time_point now) {
-  if (conn.state != Conn::State::kReading || conn.out_head.empty()) return;
+  if (conn.out.empty()) return;
   conn.out_offset = 0;
   conn.state = Conn::State::kWriting;
   conn.deadline = now + std::chrono::milliseconds(options_.write_timeout_ms);
-  // Optimistic flush, mirroring ApplyCompletions: the socket is almost
-  // always writable, so attempting the write now saves a full poll
-  // round-trip per batch. A full socket buffer falls back to POLLOUT
-  // exactly as before. The depth guard bounds the parse→handle→write
-  // recursion (FinishWrite advances into the next buffered request);
-  // past it, the POLLOUT path resumes the chain with a fresh budget.
-  // No access to `conn` after the call — a write error may have closed it.
-  constexpr int kMaxEagerWrites = 64;
-  if (conn.eager_writes < kMaxEagerWrites) {
-    ++conn.eager_writes;
-    HandleWritable(shard, id, conn, now);
-  }
+  // Optimistic flush: the socket is almost always writable, so writing
+  // now saves a full poll round-trip per window. A full socket buffer
+  // falls back to POLLOUT. No access to `conn` after the call — a write
+  // error may have closed it.
+  HandleWritable(shard, id, conn, now);
 }
 
-void HttpServer::Dispatch(Shard& shard, uint64_t id, Conn& conn,
-                          Clock::time_point now) {
+void HttpServer::HandleRequest(Shard& shard, Conn& conn) {
   conn.sent_continue = false;
 
   ServerMetrics& metrics = ServerMetrics::Get();
@@ -451,100 +427,25 @@ void HttpServer::Dispatch(Shard& shard, uint64_t id, Conn& conn,
   bool keep_alive = conn.parser.request().keep_alive && !shard.draining;
   conn.close_after_write = !keep_alive;
 
-  bool parallel = options_.pool != nullptr && options_.pool->threads() > 1;
-  if (!parallel) {
-    // Inline path (the sharded daemon's normal mode): handle the request
-    // where the parser built it, then Reset() — the request's buffers
-    // keep their capacity for the next request on this connection
-    // instead of being moved out and freed. The serialized response is
-    // appended to the connection's wire buffer and the state stays
-    // kReading: TryAdvance keeps batching while complete requests remain
-    // buffered and flushes the window with one syscall, so a pipelined
-    // window costs one sendmsg instead of one per response.
-    HttpResponse response = SafeHandle(shard, conn.parser.request());
-    conn.parser.Reset();
-    CountStatus(shard.id, response.status);
-    conn.out_head.reserve(conn.out_head.size() + response.body.size() + 160);
-    SerializeResponseHead(response, keep_alive, &conn.out_head);
-    conn.out_head += response.body;
-    return;
-  }
-  if (shard.inflight >= ShardInflightCap()) {
-    conn.parser.Reset();
-    metrics.rejected_overload->Add(shard.id, 1);
-    HttpResponse response = ErrorResponse(
-        503, "server is at its in-flight request limit, retry later");
-    CountStatus(shard.id, response.status);
-    StartWrite(shard, conn, std::move(response), keep_alive, now);
-    return;
-  }
-  ++shard.inflight;
-  metrics.inflight->Add(1);
-  conn.state = Conn::State::kProcessing;
-  auto shared_request =
-      std::make_shared<HttpRequest>(conn.parser.TakeRequest());
+  // Handle the request where the parser built it, then Reset() — the
+  // request's buffers keep their capacity for the next request on this
+  // connection instead of being moved out and freed. The serialized
+  // response is appended to the connection's wire buffer and the state
+  // stays kReading: TryAdvance keeps batching while complete requests
+  // remain buffered.
+  HttpResponse response = SafeHandle(shard, conn.parser.request());
   conn.parser.Reset();
-  Shard* shard_ptr = &shard;
-  options_.pool->Submit([this, shard_ptr, id, shared_request, keep_alive] {
-    HttpResponse response = SafeHandle(*shard_ptr, *shared_request);
-    Completion completion;
-    completion.conn_id = id;
-    completion.status = response.status;
-    SerializeResponseHead(response, keep_alive, &completion.head);
-    completion.body = std::move(response.body);
-    {
-      std::lock_guard<std::mutex> lock(shard_ptr->completion_mu);
-      shard_ptr->completions.push_back(std::move(completion));
-    }
-    WakeShard(*shard_ptr);
-  });
-}
-
-void HttpServer::StartWrite(Shard& shard, Conn& conn, HttpResponse response,
-                            bool keep_alive, Clock::time_point now) {
-  (void)shard;
-  // The head lands in the connection's recycled buffer; the body is moved,
-  // never copied.
-  conn.out_head.clear();
-  SerializeResponseHead(response, keep_alive, &conn.out_head);
-  conn.out_body = std::move(response.body);
-  conn.out_offset = 0;
-  conn.state = Conn::State::kWriting;
-  conn.deadline = now + std::chrono::milliseconds(options_.write_timeout_ms);
-}
-
-void HttpServer::StartWriteParts(Conn& conn, std::string head,
-                                 std::string body, Clock::time_point now) {
-  conn.out_head = std::move(head);
-  conn.out_body = std::move(body);
-  conn.out_offset = 0;
-  conn.state = Conn::State::kWriting;
-  conn.deadline = now + std::chrono::milliseconds(options_.write_timeout_ms);
+  CountStatus(shard.id, response.status);
+  conn.out.reserve(conn.out.size() + response.body.size() + 160);
+  SerializeResponseHead(response, keep_alive, &conn.out);
+  conn.out += response.body;
 }
 
 void HttpServer::HandleWritable(Shard& shard, uint64_t id, Conn& conn,
                                 Clock::time_point now) {
-  size_t total = conn.out_head.size() + conn.out_body.size();
-  while (conn.out_offset < total) {
-    // Gather write: head and body stay separate buffers all the way to the
-    // socket (sendmsg == writev + MSG_NOSIGNAL).
-    iovec iov[2];
-    int iov_count = 0;
-    if (conn.out_offset < conn.out_head.size()) {
-      iov[iov_count++] = {conn.out_head.data() + conn.out_offset,
-                          conn.out_head.size() - conn.out_offset};
-      if (!conn.out_body.empty()) {
-        iov[iov_count++] = {conn.out_body.data(), conn.out_body.size()};
-      }
-    } else {
-      size_t body_offset = conn.out_offset - conn.out_head.size();
-      iov[iov_count++] = {conn.out_body.data() + body_offset,
-                          conn.out_body.size() - body_offset};
-    }
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<size_t>(iov_count);
-    ssize_t sent = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
+  while (conn.out_offset < conn.out.size()) {
+    ssize_t sent = ::send(conn.fd, conn.out.data() + conn.out_offset,
+                          conn.out.size() - conn.out_offset, MSG_NOSIGNAL);
     if (sent > 0) {
       conn.out_offset += static_cast<size_t>(sent);
       continue;
@@ -563,37 +464,13 @@ void HttpServer::FinishWrite(Shard& shard, uint64_t id, Conn& conn,
     return;
   }
   // Keep-alive: recycle the connection for the next request; pipelined
-  // bytes already buffered are consumed immediately. clear() keeps both
-  // buffers' capacity for the next response.
-  conn.out_head.clear();
-  conn.out_body.clear();
+  // bytes already buffered are consumed immediately. clear() keeps the
+  // buffer's capacity for the next window.
+  conn.out.clear();
   conn.out_offset = 0;
   conn.state = Conn::State::kReading;
   conn.deadline = now + std::chrono::milliseconds(options_.read_timeout_ms);
   TryAdvance(shard, id, conn, now);
-}
-
-void HttpServer::ApplyCompletions(Shard& shard, Clock::time_point now) {
-  std::vector<Completion> ready;
-  {
-    std::lock_guard<std::mutex> lock(shard.completion_mu);
-    ready.swap(shard.completions);
-  }
-  ServerMetrics& metrics = ServerMetrics::Get();
-  for (Completion& completion : ready) {
-    --shard.inflight;
-    metrics.inflight->Add(-1);
-    auto it = shard.conns.find(completion.conn_id);
-    if (it == shard.conns.end() ||
-        it->second.state != Conn::State::kProcessing) {
-      metrics.dropped_responses->Add(shard.id, 1);
-      continue;
-    }
-    CountStatus(shard.id, completion.status);
-    StartWriteParts(it->second, std::move(completion.head),
-                    std::move(completion.body), now);
-    HandleWritable(shard, completion.conn_id, it->second, now);
-  }
 }
 
 void HttpServer::ExpireDeadlines(Shard& shard, Clock::time_point now) {
@@ -602,7 +479,6 @@ void HttpServer::ExpireDeadlines(Shard& shard, Clock::time_point now) {
     Conn& conn = it->second;
     uint64_t id = it->first;
     ++it;  // CloseConn invalidates the current iterator only.
-    if (conn.state == Conn::State::kProcessing) continue;
     if (now < conn.deadline) continue;
     if (conn.state == Conn::State::kReading) {
       if (conn.parser.has_partial_data() || !conn.in.empty()) {
@@ -624,17 +500,26 @@ void HttpServer::BeginDrain(Shard& shard, Clock::time_point now) {
     ::close(shard.listen_fd);
     shard.listen_fd = -1;
   }
-  // Connections with no partial request have nothing in flight: close
-  // them now. Mid-request reads keep their read deadline — a request the
-  // client has started sending still gets served, then closed.
+  // An idle connection may already hold a request in its socket buffer
+  // (it arrived while this shard handled another one): read it once, so
+  // that request is answered, with Connection: close, instead of dropped.
+  // Connections still idle after that read are closed now. Mid-request
+  // reads keep their read deadline — a request the client has started
+  // sending still gets served, then closed.
+  auto idle = [&shard](uint64_t id) {
+    auto found = shard.conns.find(id);
+    return found != shard.conns.end() &&
+           found->second.state == Conn::State::kReading &&
+           !found->second.parser.has_partial_data() &&
+           found->second.in.empty();
+  };
   for (auto it = shard.conns.begin(); it != shard.conns.end();) {
     uint64_t id = it->first;
     Conn& conn = it->second;
-    ++it;
-    if (conn.state == Conn::State::kReading && !conn.parser.has_partial_data()
-        && conn.in.empty()) {
-      CloseConn(shard, id);
-    }
+    ++it;  // Both calls below erase at most this connection.
+    if (!idle(id)) continue;
+    HandleReadable(shard, id, conn, now);
+    if (idle(id)) CloseConn(shard, id);
   }
 }
 
@@ -642,7 +527,6 @@ int HttpServer::PollTimeoutMs(const Shard& shard,
                               Clock::time_point now) const {
   int64_t timeout = 60'000;
   for (const auto& [id, conn] : shard.conns) {
-    if (conn.state == Conn::State::kProcessing) continue;
     timeout = std::min(timeout, MillisUntil(conn.deadline, now));
   }
   if (shard.id == 0 && options_.tick_interval_ms > 0 && tick_hook_) {
@@ -680,16 +564,14 @@ Status HttpServer::RunShard(Shard& shard) {
       }
     }
     if (shard.draining) {
-      if (shard.conns.empty() && shard.inflight == 0) break;
+      if (shard.conns.empty()) break;
       if (now >= shard.drain_deadline) {
         ServerMetrics::Get().drain_forced_closes->Add(
             shard.id, static_cast<int64_t>(shard.conns.size()));
         while (!shard.conns.empty()) {
           CloseConn(shard, shard.conns.begin()->first);
         }
-        if (shard.inflight == 0) break;
-        // Workers still own in-flight requests: keep looping to collect
-        // (and drop) their completions so RunShard() exits cleanly.
+        break;
       }
     }
 
@@ -708,10 +590,7 @@ Status HttpServer::RunShard(Shard& shard) {
       poll_ids.push_back(0);
     }
     for (const auto& [id, conn] : shard.conns) {
-      short events = 0;
-      if (conn.state == Conn::State::kReading) events = POLLIN;
-      if (conn.state == Conn::State::kWriting) events = POLLOUT;
-      if (events == 0) continue;
+      short events = conn.state == Conn::State::kReading ? POLLIN : POLLOUT;
       poll_fds.push_back({conn.fd, events, 0});
       poll_ids.push_back(id);
     }
@@ -736,8 +615,6 @@ Status HttpServer::RunShard(Shard& shard) {
         auto it = shard.conns.find(poll_ids[i]);
         if (it == shard.conns.end() || it->second.fd != fd) continue;
         Conn& conn = it->second;
-        // Fresh poll event: the optimistic-flush chain restarts from zero.
-        conn.eager_writes = 0;
         if (conn.state == Conn::State::kReading &&
             (poll_fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
           HandleReadable(shard, poll_ids[i], conn, now);
@@ -749,7 +626,6 @@ Status HttpServer::RunShard(Shard& shard) {
       }
     }
     DrainPendingFds(shard, now);
-    ApplyCompletions(shard, now);
     ExpireDeadlines(shard, now);
   }
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "serve/http.h"
 
 namespace ntw::serve {
@@ -31,27 +30,20 @@ struct ServerOptions {
   /// accept relay (shard 0 owns the only listener and hands accepted
   /// sockets to the other shards round-robin).
   bool force_accept_relay = false;
-  /// Requests dispatched but not yet answered; beyond this, new requests
-  /// are rejected with 503 instead of queueing unboundedly. Divided
-  /// evenly across shards (each shard enforces its share).
-  int max_inflight = 128;
   /// Simultaneously open connections; beyond this, accepting pauses.
   /// Divided evenly across shards.
   int max_connections = 1024;
   /// Budget to receive one full request (slow-loris bound) — also the
   /// keep-alive idle timeout.
   int read_timeout_ms = 5000;
-  /// Budget to write one full response once it is ready.
+  /// Budget to flush one write: the responses of a pipelined window,
+  /// batched into one buffer, from the first send to the last byte.
   int write_timeout_ms = 5000;
-  /// On shutdown, how long to wait for in-flight work before force-close.
+  /// On shutdown, how long to wait for open requests before force-close.
   int drain_grace_ms = 10000;
   /// Cadence of the tick hook (mtime-based hot reload); 0 disables it.
   /// The tick runs on shard 0 only — one mtime poller per process.
   int tick_interval_ms = 1000;
-  /// Worker pool that runs the handler. nullptr (or a serial pool) means
-  /// requests are handled inline on the event loop — the right choice
-  /// when shards > 1 (the reactors themselves are the parallelism).
-  ThreadPool* pool = nullptr;
 };
 
 /// A minimal dependency-free HTTP/1.1 daemon over POSIX sockets.
@@ -65,19 +57,19 @@ struct ServerOptions {
 /// accepted sockets to the other shards round-robin through per-shard
 /// handoff queues + wake pipes. A connection lives its whole life on one
 /// shard, so the steady-state request path touches no cross-shard shared
-/// state. Complete requests are handled inline on the shard (the normal
-/// sharded configuration) or submitted to an optional worker pool whose
-/// completions return through the owning shard's queue.
+/// state. Every complete request is handled inline on the shard that
+/// owns its connection: the reactors are the parallelism, and a shard
+/// runs one request at a time.
 ///
-/// Production concerns handled here, not in handlers: per-request
-/// read/write timeouts, max body size (413), bounded in-flight count
-/// (503), keep-alive with pipelining, Expect: 100-continue, and graceful
-/// drain (stop accepting, finish in-flight requests, then return).
+/// Production concerns handled here, not in handlers: read/write
+/// timeouts, max body size (413), keep-alive with pipelining,
+/// Expect: 100-continue, and graceful drain (stop accepting, answer the
+/// requests already received, then return).
 ///
 /// Determinism: the handler is a pure function and responses carry no
-/// timestamps, so the bytes a request receives do not depend on worker
-/// scheduling or shard placement — any shard count replays
-/// byte-identically to serial (tests/sharded_serve_test.cc).
+/// timestamps, so the bytes a request receives do not depend on shard
+/// placement — any shard count replays byte-identically to serial
+/// (tests/sharded_serve_test.cc).
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
@@ -88,7 +80,7 @@ class HttpServer {
   using Clock = std::chrono::steady_clock;
 
   /// One handler shared by every shard (it must be thread-safe when
-  /// shards > 1 or a pool is set).
+  /// shards > 1).
   HttpServer(ServerOptions options, Handler handler);
   /// One handler per shard, built by the factory.
   HttpServer(ServerOptions options, HandlerFactory factory);
@@ -113,9 +105,9 @@ class HttpServer {
   /// failures.
   Status Run();
 
-  /// Initiates graceful shutdown: stop accepting, drain in-flight
-  /// requests, make Run() return. Async-signal-safe (the SIGTERM/SIGINT
-  /// handlers call this) and safe from any thread.
+  /// Initiates graceful shutdown: stop accepting, answer the requests
+  /// already received, make Run() return. Async-signal-safe (the
+  /// SIGTERM/SIGINT handlers call this) and safe from any thread.
   void RequestShutdown();
 
   /// Schedules the reload hook to run on shard 0's loop (the SIGHUP
@@ -133,44 +125,27 @@ class HttpServer {
 
  private:
   struct Conn {
-    enum class State { kReading, kProcessing, kWriting };
+    enum class State { kReading, kWriting };
 
     explicit Conn(const HttpLimits& limits) : parser(limits) {}
 
     int fd = -1;
     State state = State::kReading;
     RequestParser parser;
-    std::string in;        // Received, not yet consumed.
-    // Pending wire bytes. The inline path batches whole responses
-    // (head + body, possibly several of them under pipelining) into
-    // out_head and leaves out_body empty, so a pipelined window drains
-    // with a single sendmsg. The worker-pool path keeps head and body in
-    // their own buffers and gather-writes them (sendmsg with two iovecs)
-    // so the body string is never copied. Both buffers are recycled
+    std::string in;  // Received, not yet consumed.
+    // Pending wire bytes: every response (head and body) of the current
+    // pipelined window, so the window drains with one send. Recycled
     // across keep-alive responses.
-    std::string out_head;
-    std::string out_body;
-    size_t out_offset = 0;  // Progress across head + body combined.
+    std::string out;
+    size_t out_offset = 0;
     bool close_after_write = false;
     bool sent_continue = false;
-    // Depth of the optimistic parse→handle→write chain since the last
-    // poll-loop event on this connection: each inline response is flushed
-    // eagerly (no poll round-trip), and this bounds the recursion a
-    // deeply pipelined connection would otherwise drive.
-    int eager_writes = 0;
     Clock::time_point deadline;
   };
 
-  struct Completion {
-    uint64_t conn_id = 0;
-    int status = 0;
-    std::string head;
-    std::string body;
-  };
-
   /// One reactor: everything below `handler` is owned and touched by this
-  /// shard's loop thread only; the two mutex-guarded queues are the only
-  /// cross-thread entry points (worker completions, relayed accepts).
+  /// shard's loop thread only; the mutex-guarded relay queue is the only
+  /// cross-thread entry point.
   struct Shard {
     int id = 0;
     Handler handler;
@@ -181,14 +156,9 @@ class HttpServer {
     // Loop-owned state.
     std::map<uint64_t, Conn> conns;
     uint64_t next_conn_id = 1;
-    int inflight = 0;
     bool draining = false;
     Clock::time_point drain_deadline;
     Clock::time_point next_tick;
-
-    // Worker → loop handoff.
-    std::mutex completion_mu;
-    std::vector<Completion> completions;
 
     // Relay handoff: accepted fds shard 0 assigned to this shard.
     std::mutex pending_mu;
@@ -204,18 +174,13 @@ class HttpServer {
                       Clock::time_point now);
   void TryAdvance(Shard& shard, uint64_t id, Conn& conn,
                   Clock::time_point now);
-  void Dispatch(Shard& shard, uint64_t id, Conn& conn, Clock::time_point now);
+  void HandleRequest(Shard& shard, Conn& conn);
   void FlushPending(Shard& shard, uint64_t id, Conn& conn,
                     Clock::time_point now);
   void HandleWritable(Shard& shard, uint64_t id, Conn& conn,
                       Clock::time_point now);
-  void StartWrite(Shard& shard, Conn& conn, HttpResponse response,
-                  bool keep_alive, Clock::time_point now);
-  void StartWriteParts(Conn& conn, std::string head, std::string body,
-                       Clock::time_point now);
   void FinishWrite(Shard& shard, uint64_t id, Conn& conn,
                    Clock::time_point now);
-  void ApplyCompletions(Shard& shard, Clock::time_point now);
   void ExpireDeadlines(Shard& shard, Clock::time_point now);
   void BeginDrain(Shard& shard, Clock::time_point now);
   void CloseConn(Shard& shard, uint64_t id);
@@ -224,7 +189,6 @@ class HttpServer {
   int PollTimeoutMs(const Shard& shard, Clock::time_point now) const;
   Status RunShard(Shard& shard);
   size_t ShardConnCap() const;
-  int ShardInflightCap() const;
 
   ServerOptions options_;
   HandlerFactory factory_;

@@ -264,7 +264,6 @@ class SelfHealTest : public ::testing::Test {
     ServerOptions options;
     options.port = 0;
     options.shards = shards;
-    options.pool = nullptr;
     r->server = std::make_unique<HttpServer>(
         options, HttpServer::HandlerFactory([this, r, worker](int shard) {
           ExtractService::Options service_options;

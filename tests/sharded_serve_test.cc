@@ -153,8 +153,8 @@ class ShardedServeTest : public ::testing::Test {
     }
   };
 
-  /// Starts an inline (no worker pool) sharded server over the fixture
-  /// repository, one ExtractService per shard.
+  /// Starts a sharded server over the fixture repository, one
+  /// ExtractService per shard.
   std::unique_ptr<RunningServer> Start(
       int shards, bool force_relay = false,
       std::function<void(HttpServer&)> configure = nullptr) {
@@ -164,7 +164,6 @@ class ShardedServeTest : public ::testing::Test {
     options.port = 0;
     options.shards = shards;
     options.force_accept_relay = force_relay;
-    options.pool = nullptr;
     r->server = std::make_unique<HttpServer>(
         options, HttpServer::HandlerFactory([this, r](int shard) {
           ExtractService::Options service_options;
@@ -288,7 +287,6 @@ TEST_F(ShardedServeTest, TickHookRunsOnOneShardOnly) {
   std::vector<std::unique_ptr<ExtractService>> services;
   options.port = 0;
   options.shards = 4;
-  options.pool = nullptr;
   options.tick_interval_ms = 20;
   HttpServer server(options, HttpServer::HandlerFactory([&](int shard) {
                       ExtractService::Options service_options;

@@ -78,19 +78,6 @@ TEST(ThreadPoolTest, ExceptionPropagatesAfterDraining) {
   EXPECT_EQ(completed.load(), 63);  // Every other index still ran.
 }
 
-TEST(ThreadPoolTest, TaskGroupRunsEveryTask) {
-  ThreadPool pool(3);
-  ThreadPool::TaskGroup group(&pool);
-  std::vector<std::atomic<int>> ran(10);
-  for (size_t i = 0; i < ran.size(); ++i) {
-    group.Add([&ran, i] { ran[i].fetch_add(1, std::memory_order_relaxed); });
-  }
-  group.Run();
-  for (size_t i = 0; i < ran.size(); ++i) EXPECT_EQ(ran[i].load(), 1);
-  group.Run();  // Drained: running again is a no-op.
-  for (size_t i = 0; i < ran.size(); ++i) EXPECT_EQ(ran[i].load(), 1);
-}
-
 TEST(ThreadPoolTest, WidthClampedToAtLeastOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.threads(), 1);

@@ -664,7 +664,6 @@ int Run(int argc, char** argv) {
   serve::ServerOptions server_options;
   server_options.port = 0;
   server_options.shards = shards;
-  server_options.pool = nullptr;  // Inline: the reactors are the threads.
   serve::HttpServer server(
       server_options,
       serve::HttpServer::HandlerFactory([&](int shard) {
@@ -785,7 +784,6 @@ int Run(int argc, char** argv) {
     serve::ServerOptions sweep_options;
     sweep_options.port = 0;
     sweep_options.shards = point_shards;
-    sweep_options.pool = nullptr;
     serve::HttpServer sweep_server(
         sweep_options,
         serve::HttpServer::HandlerFactory([&](int shard) {

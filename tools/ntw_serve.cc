@@ -6,7 +6,7 @@
 //   ntw_serve --wrapper-dir DIR [--pack FILE] [--host 127.0.0.1]
 //             [--port 8377]
 //             [--port-file PATH] [--shards N] [--threads N]
-//             [--max-body-bytes N] [--max-inflight N]
+//             [--max-body-bytes N]
 //             [--read-timeout-ms N] [--write-timeout-ms N]
 //             [--drain-grace-ms N] [--reload-poll-ms N]
 //             [--metrics-json PATH] [--trace PATH]
@@ -18,10 +18,9 @@
 //
 // --shards N runs N reactor shards (independent event loops, one per
 // core by default — DESIGN.md §11); each shard handles its requests
-// inline with a shard-private buffer pool. --threads then only sizes the
-// pool /extract_batch fans out over. --max-inflight is checked only when
-// requests go to a worker pool, that is with --shards 1 and a pool of
-// more than one thread (--threads); with more shards it has no effect.
+// inline with shard-private buffer pools, one request at a time.
+// --threads sizes the global pool that /extract_batch fans out over and
+// that re-induction learns on.
 //
 // Self-healing (DESIGN.md §13) is on by default: every /extract feeds a
 // per-(site, attribute) drift detector; a drifted pair is re-induced on
@@ -47,9 +46,10 @@
 //   GET  /healthz
 //
 // Signals: SIGTERM/SIGINT trigger graceful shutdown (stop accepting,
-// drain in-flight requests, flush final metrics, exit 0); SIGHUP forces
-// a wrapper repository reload. The repository is also hot-reloaded when
-// file mtimes change (--reload-poll-ms cadence, 0 disables).
+// answer the requests already received, flush final metrics, exit 0);
+// SIGHUP forces a wrapper repository reload. The repository is also
+// hot-reloaded when file mtimes change (--reload-poll-ms cadence, 0
+// disables).
 
 #include <csignal>
 #include <cstdio>
@@ -76,8 +76,8 @@ constexpr char kUsage[] =
     "usage: ntw_serve --wrapper-dir DIR [--pack FILE] [--host H] [--port P]"
     " [--port-file PATH]\n"
     "                 [--shards N] [--threads N] [--max-body-bytes N]\n"
-    "                 [--max-inflight N] [--read-timeout-ms N]\n"
-    "                 [--write-timeout-ms N] [--drain-grace-ms N]\n"
+    "                 [--read-timeout-ms N] [--write-timeout-ms N]\n"
+    "                 [--drain-grace-ms N]\n"
     "                 [--reload-poll-ms N] [--metrics-json PATH]\n"
     "                 [--trace PATH] [--no-fast-path] [--quiet]\n"
     "                 [--no-self-heal]"
@@ -86,9 +86,8 @@ constexpr char kUsage[] =
     "                 [--drift-hysteresis N] [--drift-cooldown N]\n"
     "                 [--drift-retain K] [--reinduce-threads N]\n"
     "                 [--reinduce-queue N]\n"
-    "--max-inflight is checked only on worker-pool dispatch (--shards 1 and\n"
-    "a pool of more than one thread); the default one shard per core\n"
-    "handles each request inline and never checks it.\n";
+    "Each of the --shards reactors (one per core by default) handles its\n"
+    "requests inline; --threads sizes the /extract_batch fan-out pool.\n";
 
 serve::HttpServer* g_server = nullptr;
 
@@ -110,7 +109,7 @@ int Run(int argc, char** argv) {
   const Flags& flags = *flags_or;
   std::vector<std::string> unknown = flags.UnknownFlags(
       {"wrapper-dir", "pack", "host", "port", "port-file", "shards",
-       "threads", "max-body-bytes", "max-inflight", "read-timeout-ms",
+       "threads", "max-body-bytes", "read-timeout-ms",
        "write-timeout-ms", "drain-grace-ms", "reload-poll-ms",
        "metrics-json", "trace", "no-fast-path",
        "quiet",
@@ -146,8 +145,6 @@ int Run(int argc, char** argv) {
   Result<int64_t> port = flags.GetInt("port", 8377);
   Result<int64_t> max_body = flags.GetInt(
       "max-body-bytes", static_cast<int64_t>(options.limits.max_body_bytes));
-  Result<int64_t> max_inflight =
-      flags.GetInt("max-inflight", options.max_inflight);
   Result<int64_t> read_timeout =
       flags.GetInt("read-timeout-ms", options.read_timeout_ms);
   Result<int64_t> write_timeout =
@@ -158,9 +155,8 @@ int Run(int argc, char** argv) {
   unsigned hw = std::thread::hardware_concurrency();
   Result<int64_t> shards =
       flags.GetInt("shards", static_cast<int64_t>(hw > 0 ? hw : 1));
-  for (const auto* value : {&port, &max_body, &max_inflight, &read_timeout,
-                            &write_timeout, &drain_grace, &reload_poll,
-                            &shards}) {
+  for (const auto* value : {&port, &max_body, &read_timeout, &write_timeout,
+                            &drain_grace, &reload_poll, &shards}) {
     if (!value->ok()) {
       std::fprintf(stderr, "%s\n%s", value->status().ToString().c_str(),
                    kUsage);
@@ -169,16 +165,11 @@ int Run(int argc, char** argv) {
   }
   options.port = static_cast<int>(*port);
   options.limits.max_body_bytes = static_cast<size_t>(*max_body);
-  options.max_inflight = static_cast<int>(*max_inflight);
   options.read_timeout_ms = static_cast<int>(*read_timeout);
   options.write_timeout_ms = static_cast<int>(*write_timeout);
   options.drain_grace_ms = static_cast<int>(*drain_grace);
   options.tick_interval_ms = static_cast<int>(*reload_poll);
   options.shards = *shards < 1 ? 1 : static_cast<int>(*shards);
-  // Sharded: the reactors are the parallelism — handle inline, no
-  // cross-thread handoff. Single shard keeps the classic worker-pool
-  // dispatch. Either way /extract_batch fans out over the global pool.
-  options.pool = options.shards > 1 ? nullptr : &ThreadPool::Global();
   obs::Registry::Global().SetShardCount(options.shards);
 
   serve::DriftConfig drift;
