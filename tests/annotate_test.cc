@@ -297,8 +297,9 @@ TEST(SyntheticAnnotatorTest, RatesApproximateP1P2) {
   pages.AddPage(MustParse(html));
   core::NodeSet truth;
   for (int i = 0; i < 200; ++i) {
-    for (const core::NodeRef& ref :
-         FindText(pages, "t" + std::to_string(i))) {
+    std::string text = "t";
+    text += std::to_string(i);
+    for (const core::NodeRef& ref : FindText(pages, text)) {
       truth.Insert(ref);
     }
   }

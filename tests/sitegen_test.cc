@@ -176,9 +176,11 @@ TEST_P(ListTemplateTest, SerializeParseRoundTripPreservesTargets) {
   ListTemplate list_template = ListTemplate::Random(&rng, 4);
   std::vector<ListRecord> records;
   for (int i = 0; i < 3; ++i) {
+    auto field = [i](const char* prefix) {
+      return std::string(prefix).append(std::to_string(i));
+    };
     ListRecord record;
-    record.fields = {"N" + std::to_string(i), "A" + std::to_string(i),
-                     "C" + std::to_string(i), "P" + std::to_string(i)};
+    record.fields = {field("N"), field("A"), field("C"), field("P")};
     record.field_types = {"name", "", "zip", ""};
     record.present = {true, true, true, i % 2 == 0};
     records.push_back(record);

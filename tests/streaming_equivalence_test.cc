@@ -590,41 +590,51 @@ TEST(TagSoupCorpus, PatchedTierEngagesWithThreeWayIdentity) {
     std::vector<std::string> cells;
 
     std::string page;
-    page += "<" + RandomCase(&s, "html") + "><" + RandomCase(&s, "body");
+    // Where two cased names are written together, the second one is
+    // drawn first: the seeded pages depend on that order.
+    std::string body_tag = RandomCase(&s, "body");
+    std::string html_tag = RandomCase(&s, "html");
+    page.append("<").append(html_tag).append("><").append(body_tag);
     AppendSoupAttr(&s, "class", "top", &page);
-    page += "><" + RandomCase(&s, "p") + ">Intro text";
+    page.append("><").append(RandomCase(&s, "p")).append(">Intro text");
     // No </p>: the following <ul> implies it. Each <li> is likewise
     // implied closed by the next <li> or by </ul>.
-    page += "<" + RandomCase(&s, "ul");
+    page.append("<").append(RandomCase(&s, "ul"));
     AppendSoupAttr(&s, "id", "list", &page);
     page += ">";
     for (size_t i = 1; i <= items; ++i) {
-      names.push_back("Item " + std::to_string(i));
-      page += "<" + RandomCase(&s, "li");
+      names.push_back("Item ");
+      names.back() += std::to_string(i);
+      page.append("<").append(RandomCase(&s, "li"));
       if (XorShift(&s) & 1) {
         // Valueless attribute: canonicalizes to data-sale="".
         page.push_back(' ');
         page += RandomCase(&s, "data-sale");
       }
-      page += "><" + RandomCase(&s, "b");
+      page.append("><").append(RandomCase(&s, "b"));
       AppendSoupAttr(&s, "class", "name", &page);
-      page += ">" + names.back() + "</" + RandomCase(&s, "b") + ">";
-      page += " $" + std::to_string(100 * i);
+      page.append(">").append(names.back()).append("</");
+      page.append(RandomCase(&s, "b")).append(">");
+      page.append(" $").append(std::to_string(100 * i));
     }
-    page += "</" + RandomCase(&s, "ul") + ">";
+    page.append("</").append(RandomCase(&s, "ul")).append(">");
     // Table rows and cells left open: </table> resolves the whole pile
     // through the nearest-match walk.
-    page += "<" + RandomCase(&s, "table") + ">";
+    page.append("<").append(RandomCase(&s, "table")).append(">");
     for (size_t r = 0; r < 2; ++r) {
-      page += "<" + RandomCase(&s, "tr") + ">";
+      page.append("<").append(RandomCase(&s, "tr")).append(">");
       for (size_t c = 0; c < 2; ++c) {
-        cells.push_back("c" + std::to_string(2 * r + c));
-        page += "<" + RandomCase(&s, "td") + ">" + cells.back();
+        cells.push_back("c");
+        cells.back() += std::to_string(2 * r + c);
+        page.append("<").append(RandomCase(&s, "td")).append(">");
+        page += cells.back();
       }
     }
-    page += "</" + RandomCase(&s, "table") + ">";
-    page += "</" + RandomCase(&s, "body") + "></" +
-            RandomCase(&s, "html") + ">";
+    page.append("</").append(RandomCase(&s, "table")).append(">");
+    html_tag = RandomCase(&s, "html");
+    body_tag = RandomCase(&s, "body");
+    page.append("</").append(body_tag).append("></").append(html_tag);
+    page += ">";
 
     // The implied-</li> splices alone guarantee at least one patch, so
     // the tier must be exactly kPatched: these rewrites are all LOCAL.

@@ -31,10 +31,12 @@ core::PageSet ExampleTablePage() {
 }
 
 core::NodeRef ExampleCell(const core::PageSet& pages, int row, int col) {
-  std::string want = col == 1
-                         ? "n" + std::to_string(row)
-                         : "r" + std::to_string(row) + "c" +
-                               std::to_string(col);
+  std::string want(col == 1 ? "n" : "r");
+  want += std::to_string(row);
+  if (col != 1) {
+    want += 'c';
+    want += std::to_string(col);
+  }
   std::vector<core::NodeRef> found = FindText(pages, want);
   EXPECT_EQ(found.size(), 1u) << "cell " << want;
   assert(found.size() == 1);
@@ -92,16 +94,22 @@ std::string RandomSoup(Rng* rng, size_t pieces) {
   for (size_t i = 0; i < pieces; ++i) {
     switch (rng->NextBounded(7)) {
       case 0:
-        out += "<" + std::string(kTags[rng->NextBounded(14)]) + ">";
+        out.append("<").append(kTags[rng->NextBounded(14)]).append(">");
         break;
       case 1:
-        out += "</" + std::string(kTags[rng->NextBounded(14)]) + ">";
+        out.append("</").append(kTags[rng->NextBounded(14)]).append(">");
         break;
-      case 2:
-        out += "<" + std::string(kTags[rng->NextBounded(14)]) +
-               " class='c" + std::to_string(rng->NextBounded(5)) + "' data=" +
-               std::to_string(rng->NextBounded(100)) + ">";
+      case 2: {
+        // Drawn data, class, tag: the seeded inputs of the differential,
+        // fuzz and XPATH φ tests depend on this order.
+        uint64_t data = rng->NextBounded(100);
+        uint64_t klass = rng->NextBounded(5);
+        const char* tag = kTags[rng->NextBounded(14)];
+        out.append("<").append(tag).append(" class='c");
+        out.append(std::to_string(klass)).append("' data=");
+        out.append(std::to_string(data)).append(">");
         break;
+      }
       case 3:
         out += kText[rng->NextBounded(10)];
         break;
