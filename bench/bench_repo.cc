@@ -1,33 +1,37 @@
-// Repository scaling benchmark: mmap pack open vs eager directory load,
-// swept across synthetic repository sizes (1k → 1M sites). For each size
-// the bench streams the synthetic records straight into a
-// WrapperPackBuilder (ForEachSyntheticWrapperRecord — no directory
-// intermediate, which is what makes the 1M-site point feasible: two
-// million tiny files would dominate the run with filesystem overhead),
-// and measures:
+// Repository scaling benchmark: mmap pack open vs directory load, swept
+// across synthetic repository sizes (1k → 1M sites). For each size the
+// bench streams the synthetic records straight into a WrapperPackBuilder
+// (ForEachSyntheticWrapperRecord — no directory intermediate, which is
+// what makes the 1M-site point feasible: two million tiny files would
+// dominate the run with filesystem overhead), writes the pack, and
+// measures:
 //
 //   * pack Open(): wall time of WrapperRepository::Load() on the pack
-//     backend (header validation + mmap, nothing parsed) and the RSS it
-//     touches,
+//     file (header validation + mmap, nothing parsed),
 //   * cold first-hit latency: Snapshot::Find() on sites no request has
-//     materialized yet (page-in + parse + compile of one entry),
-//   * eager directory Load(): the baseline every earlier PR paid at
-//     startup, and its RSS. The directory tree is materialized (and this
-//     baseline measured) only up to 100k sites; beyond that the sweep is
-//     pack-only and the point records dir_baseline=false.
+//     built yet (page-in + parse + compile of the site's entries),
+//   * the RSS each of those adds, split into anonymous memory (the
+//     repository's own heap) and file pages (the pack's pages the binary
+//     searches fault in) — resident minus shared, and shared, in
+//     /proc/self/statm,
+//   * the directory Load(): read every wrapper file, validate its record
+//     and pack the tree in memory (nothing is compiled), and its anon
+//     RSS. The tree is materialized (and this baseline measured) only up
+//     to 100k sites; beyond that the point records dir_baseline=false.
 //
-// Pack open is measured *before* the eager load within each point so its
-// RSS delta is not deflated by heap the big load released back to the
-// allocator. Non-smoke runs enforce the headline claim on 10k+ points
-// that have the baseline: pack open must be >= 50x faster than the eager
-// directory load, with the pack's cold RSS staying far below the eager
-// load's.
+// The pack open, the first hits and their RSS are taken in a fresh
+// process (`bench_repo probe PACK SITES`, re-executed by the sweep), so
+// neither the heap nor the page tables of the process that built the
+// pack colour them. Non-smoke runs enforce the headline claim on 10k+
+// points that have the baseline: pack open must be >= 50x faster than
+// the directory load.
 //
-// `--out PATH` writes an ntw-repo-bench (v2) JSON document
+// `--out PATH` writes an ntw-repo-bench (v3) JSON document
 // (BENCH_repo.json in CI); `--smoke` shrinks the sweep to a CI-sized
 // sanity run and skips the speedup enforcement (tiny repositories are
 // dominated by fixed costs, not scaling).
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -55,7 +59,8 @@ using namespace ntw;
 
 constexpr char kUsage[] =
     "usage: bench_repo [--out BENCH_repo.json] [--sizes 1000,10000,...]\n"
-    "                  [--attrs N] [--seed N] [--smoke]\n";
+    "                  [--attrs N] [--seed N] [--smoke]\n"
+    "       bench_repo probe PACK SITES   (one fresh-process measurement)\n";
 
 // The directory baseline (and its tree materialization) stops here: past
 // 100k sites the eager load's cost is already established as linear, and
@@ -68,13 +73,15 @@ struct SweepPoint {
   double pack_build_seconds = 0.0;
   int64_t pack_file_bytes = 0;
   double pack_open_micros = 0.0;
-  int64_t pack_open_rss_bytes = 0;
+  int64_t pack_open_anon_rss_bytes = 0;
+  int64_t pack_open_file_rss_bytes = 0;
   double first_hit_micros_p50 = 0.0;
   double first_hit_micros_max = 0.0;
-  int64_t cold_hit_rss_bytes = 0;
+  int64_t cold_hit_anon_rss_bytes = 0;
+  int64_t cold_hit_file_rss_bytes = 0;
   bool dir_baseline = false;
   double dir_load_micros = 0.0;
-  int64_t dir_load_rss_bytes = 0;
+  int64_t dir_load_anon_rss_bytes = 0;
   double open_speedup = 0.0;
 };
 
@@ -98,6 +105,95 @@ int64_t RssDelta(int64_t before, int64_t after) {
   return std::max<int64_t>(0, after - before);
 }
 
+// `bench_repo probe PACK SITES`: opens the pack through the repository,
+// takes 32 cold first hits spread across its site directory, and prints
+// one line: open µs, open anon/file RSS, hit p50/max µs, hit anon/file
+// RSS (deltas from before the repository existed).
+int Probe(const std::string& pack_path, int64_t sites) {
+  obs::ResidentBytes before = obs::CurrentResidentBytes();
+  serve::WrapperRepository repository(
+      serve::WrapperRepository::Options{std::string(), pack_path});
+  Stopwatch open_timer;
+  Status loaded = repository.Load();
+  double open_micros = open_timer.ElapsedSeconds() * 1e6;
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "bench_repo: pack open: %s\n",
+                 loaded.ToString().c_str());
+    return 1;
+  }
+  obs::ResidentBytes opened = obs::CurrentResidentBytes();
+  auto pinned = repository.Pin();
+  if (pinned->pack->path() != pack_path) {
+    std::fprintf(stderr, "bench_repo: the pack file did not open\n");
+    return 1;
+  }
+  // Spread across the directory so the hits touch distinct pack pages.
+  size_t probes = std::min<int64_t>(sites, 32);
+  std::vector<double> micros;
+  for (size_t i = 0; i < probes; ++i) {
+    size_t index = i * static_cast<size_t>(sites) / probes;
+    std::string site = StrFormat("site_%06zu", index);
+    Stopwatch hit_timer;
+    const serve::WrapperRepository::Entry* entry =
+        pinned->Find(site, "attr_00");
+    micros.push_back(hit_timer.ElapsedSeconds() * 1e6);
+    if (entry == nullptr) {
+      std::fprintf(stderr, "bench_repo: cold hit missed %s\n", site.c_str());
+      return 1;
+    }
+  }
+  obs::ResidentBytes hit = obs::CurrentResidentBytes();
+  std::sort(micros.begin(), micros.end());
+  std::printf("%.3f %lld %lld %.3f %.3f %lld %lld\n", open_micros,
+              static_cast<long long>(RssDelta(before.anon, opened.anon)),
+              static_cast<long long>(RssDelta(before.file, opened.file)),
+              micros[micros.size() / 2], micros.back(),
+              static_cast<long long>(RssDelta(before.anon, hit.anon)),
+              static_cast<long long>(RssDelta(before.file, hit.file)));
+  return 0;
+}
+
+// Runs Probe in a fresh process (this binary, re-executed) and parses
+// its line into `point`.
+Status ProbeInFreshProcess(const std::string& pack_path, SweepPoint* point) {
+  std::string sites = std::to_string(point->sites);
+  int fds[2];
+  if (pipe(fds) != 0) return Status::Internal("bench_repo: pipe failed");
+  pid_t pid = fork();
+  if (pid < 0) return Status::Internal("bench_repo: fork failed");
+  if (pid == 0) {
+    dup2(fds[1], STDOUT_FILENO);
+    close(fds[0]);
+    close(fds[1]);
+    execl("/proc/self/exe", "bench_repo", "probe", pack_path.c_str(),
+          sites.c_str(), static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  close(fds[1]);
+  std::string line;
+  char buffer[256];
+  ssize_t n = 0;
+  while ((n = read(fds[0], buffer, sizeof(buffer))) > 0) {
+    line.append(buffer, static_cast<size_t>(n));
+  }
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  long long open_anon = 0, open_file = 0, hit_anon = 0, hit_file = 0;
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0 ||
+      std::sscanf(line.c_str(), "%lf %lld %lld %lf %lf %lld %lld",
+                  &point->pack_open_micros, &open_anon, &open_file,
+                  &point->first_hit_micros_p50, &point->first_hit_micros_max,
+                  &hit_anon, &hit_file) != 7) {
+    return Status::Internal("bench_repo: the probe process failed");
+  }
+  point->pack_open_anon_rss_bytes = open_anon;
+  point->pack_open_file_rss_bytes = open_file;
+  point->cold_hit_anon_rss_bytes = hit_anon;
+  point->cold_hit_file_rss_bytes = hit_file;
+  return Status::OK();
+}
+
 int Run(int argc, char** argv) {
   Result<Flags> flags_or = Flags::Parse(argc, argv);
   if (!flags_or.ok()) {
@@ -106,6 +202,10 @@ int Run(int argc, char** argv) {
     return 2;
   }
   const Flags& flags = *flags_or;
+  const std::vector<std::string>& positional = flags.positional();
+  if (positional.size() == 3 && positional[0] == "probe") {
+    return Probe(positional[1], std::atoll(positional[2].c_str()));
+  }
   std::vector<std::string> unknown =
       flags.UnknownFlags({"out", "sizes", "attrs", "seed", "smoke", "help"});
   if (!unknown.empty() || flags.Has("help")) {
@@ -169,52 +269,14 @@ int Run(int argc, char** argv) {
     point.pack_file_bytes =
         static_cast<int64_t>(std::filesystem::file_size(pack_path));
 
-    // Pack open + cold first hits, before the eager load touches the heap.
-    {
-      int64_t rss_before = obs::CurrentRssBytes();
-      serve::WrapperRepository repository(
-          serve::WrapperRepository::Options{std::string(), pack_path});
-      Stopwatch open_timer;
-      Status loaded = repository.Load();
-      point.pack_open_micros = open_timer.ElapsedSeconds() * 1e6;
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "bench_repo: pack open: %s\n",
-                     loaded.ToString().c_str());
-        return 1;
-      }
-      point.pack_open_rss_bytes =
-          RssDelta(rss_before, obs::CurrentRssBytes());
-
-      auto pinned = repository.Pin();
-      if (pinned->pack == nullptr) {
-        std::fprintf(stderr, "bench_repo: pack backend did not engage\n");
-        return 1;
-      }
-      // First-hit latency on sites nothing has materialized yet, spread
-      // across the directory so the hits touch distinct pack pages.
-      size_t probes = std::min<int64_t>(size, 32);
-      std::vector<double> micros;
-      for (size_t i = 0; i < probes; ++i) {
-        size_t index = i * static_cast<size_t>(size) / probes;
-        std::string site = StrFormat("site_%06zu", index);
-        Stopwatch hit_timer;
-        const serve::WrapperRepository::Entry* entry =
-            pinned->Find(site, "attr_00");
-        micros.push_back(hit_timer.ElapsedSeconds() * 1e6);
-        if (entry == nullptr) {
-          std::fprintf(stderr, "bench_repo: cold hit missed %s\n",
-                       site.c_str());
-          return 1;
-        }
-      }
-      std::sort(micros.begin(), micros.end());
-      point.first_hit_micros_p50 = micros[micros.size() / 2];
-      point.first_hit_micros_max = micros.back();
-      point.cold_hit_rss_bytes = RssDelta(rss_before, obs::CurrentRssBytes());
+    Status probed = ProbeInFreshProcess(pack_path, &point);
+    if (!probed.ok()) {
+      std::fprintf(stderr, "%s\n", probed.ToString().c_str());
+      return 1;
     }
 
-    // Eager directory load — the pre-pack startup cost. The tree is only
-    // materialized for this baseline, so the biggest points skip both.
+    // The directory load: read + validate + in-memory pack. The tree is
+    // only materialized for this baseline, so the biggest points skip it.
     if (point.dir_baseline) {
       Status wrote =
           sitegen::WriteSyntheticWrapperRepository(options, repo_dir);
@@ -222,7 +284,7 @@ int Run(int argc, char** argv) {
         std::fprintf(stderr, "bench_repo: %s\n", wrote.ToString().c_str());
         return 1;
       }
-      int64_t rss_before = obs::CurrentRssBytes();
+      int64_t anon_before = obs::CurrentResidentBytes().anon;
       serve::WrapperRepository repository(repo_dir);
       Stopwatch load_timer;
       Status loaded = repository.Load();
@@ -232,36 +294,34 @@ int Run(int argc, char** argv) {
                      loaded.ToString().c_str());
         return 1;
       }
-      point.dir_load_rss_bytes = RssDelta(rss_before, obs::CurrentRssBytes());
+      point.dir_load_anon_rss_bytes =
+          RssDelta(anon_before, obs::CurrentResidentBytes().anon);
       point.open_speedup = point.pack_open_micros > 0.0
                                ? point.dir_load_micros / point.pack_open_micros
                                : 0.0;
     }
 
+    std::fprintf(stderr,
+                 "bench_repo: sites=%lld open=%.0fus first_hit_p50=%.1fus "
+                 "max=%.1fus cold_anon=%lld cold_file=%lld pack=%lldB",
+                 static_cast<long long>(point.sites), point.pack_open_micros,
+                 point.first_hit_micros_p50, point.first_hit_micros_max,
+                 static_cast<long long>(point.cold_hit_anon_rss_bytes),
+                 static_cast<long long>(point.cold_hit_file_rss_bytes),
+                 static_cast<long long>(point.pack_file_bytes));
     if (point.dir_baseline) {
-      std::fprintf(stderr,
-                   "bench_repo: sites=%lld open=%.0fus dir_load=%.0fus "
-                   "(%.0fx) first_hit_p50=%.1fus cold_rss=%lld dir_rss=%lld\n",
-                   static_cast<long long>(point.sites), point.pack_open_micros,
+      std::fprintf(stderr, " dir_load=%.0fus (%.0fx) dir_anon=%lld\n",
                    point.dir_load_micros, point.open_speedup,
-                   point.first_hit_micros_p50,
-                   static_cast<long long>(point.cold_hit_rss_bytes),
-                   static_cast<long long>(point.dir_load_rss_bytes));
+                   static_cast<long long>(point.dir_load_anon_rss_bytes));
     } else {
-      std::fprintf(stderr,
-                   "bench_repo: sites=%lld open=%.0fus (no dir baseline) "
-                   "first_hit_p50=%.1fus cold_rss=%lld pack=%lldB\n",
-                   static_cast<long long>(point.sites), point.pack_open_micros,
-                   point.first_hit_micros_p50,
-                   static_cast<long long>(point.cold_hit_rss_bytes),
-                   static_cast<long long>(point.pack_file_bytes));
+      std::fprintf(stderr, " (no dir baseline)\n");
     }
 
     if (!smoke && point.dir_baseline && size >= 10000 &&
         point.open_speedup < 50.0) {
       std::fprintf(stderr,
                    "bench_repo: FAIL sites=%lld pack open only %.1fx faster "
-                   "than eager load (need >= 50x)\n",
+                   "than the directory load (need >= 50x)\n",
                    static_cast<long long>(point.sites), point.open_speedup);
       enforcement_failed = true;
     }
@@ -272,7 +332,7 @@ int Run(int argc, char** argv) {
   obs::JsonWriter json;
   json.BeginObject();
   json.KV("schema", "ntw-repo-bench");
-  json.KV("schema_version", int64_t{2});
+  json.KV("schema_version", int64_t{3});
   json.KV("smoke", smoke);
   WriteMachineInfo(json);
   json.KV("attrs", *attrs);
@@ -286,14 +346,16 @@ int Run(int argc, char** argv) {
     json.KV("pack_build_seconds", point.pack_build_seconds);
     json.KV("pack_file_bytes", point.pack_file_bytes);
     json.KV("pack_open_micros", point.pack_open_micros);
-    json.KV("pack_open_rss_bytes", point.pack_open_rss_bytes);
+    json.KV("pack_open_anon_rss_bytes", point.pack_open_anon_rss_bytes);
+    json.KV("pack_open_file_rss_bytes", point.pack_open_file_rss_bytes);
     json.KV("first_hit_micros_p50", point.first_hit_micros_p50);
     json.KV("first_hit_micros_max", point.first_hit_micros_max);
-    json.KV("cold_hit_rss_bytes", point.cold_hit_rss_bytes);
+    json.KV("cold_hit_anon_rss_bytes", point.cold_hit_anon_rss_bytes);
+    json.KV("cold_hit_file_rss_bytes", point.cold_hit_file_rss_bytes);
     json.KV("dir_baseline", point.dir_baseline);
     if (point.dir_baseline) {
       json.KV("dir_load_micros", point.dir_load_micros);
-      json.KV("dir_load_rss_bytes", point.dir_load_rss_bytes);
+      json.KV("dir_load_anon_rss_bytes", point.dir_load_anon_rss_bytes);
       json.KV("open_speedup", point.open_speedup);
     }
     json.EndObject();

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
+#include "common/file_util.h"
 #include "common/strings.h"
 #include "core/wrapper_store.h"
 
@@ -29,6 +31,8 @@ uint64_t Fnv1a(const void* data, size_t size, uint64_t seed = 0xcbf29ce484222325
 void AppendRaw(std::string* out, const void* data, size_t size) {
   out->append(static_cast<const char*>(data), size);
 }
+
+constexpr char kSuffix[] = ".wrapper";
 
 }  // namespace
 
@@ -151,26 +155,47 @@ Result<std::shared_ptr<const WrapperPack>> WrapperPack::Open(
     ::close(fd);
     return Status::Internal(StrFormat("pack: cannot stat %s", path.c_str()));
   }
-  auto size = static_cast<size_t>(st.st_size);
-  if (size < sizeof(PackHeader)) {
-    ::close(fd);
-    return Status::ParseError(
-        StrFormat("pack: %s is truncated (%zu bytes, header needs %zu)",
-                  path.c_str(), size, sizeof(PackHeader)));
-  }
-  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // The mapping keeps its own reference.
-  if (map == MAP_FAILED) {
-    return Status::Internal(StrFormat("pack: mmap of %s failed",
-                                      path.c_str()));
-  }
-
   auto pack = std::shared_ptr<WrapperPack>(new WrapperPack());
   pack->path_ = path;
-  pack->map_ = static_cast<const char*>(map);
-  pack->map_size_ = size;
-  std::memcpy(&pack->header_, map, sizeof(PackHeader));
-  const PackHeader& h = pack->header_;
+  pack->map_size_ = static_cast<size_t>(st.st_size);
+  // A file too short for a header is left unmapped; ReadHeader rejects it.
+  if (pack->map_size_ >= sizeof(PackHeader)) {
+    void* map =
+        ::mmap(nullptr, pack->map_size_, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (map == MAP_FAILED) {
+      ::close(fd);
+      return Status::Internal(StrFormat("pack: mmap of %s failed",
+                                        path.c_str()));
+    }
+    pack->map_ = static_cast<const char*>(map);
+    pack->mapped_ = true;
+  }
+  ::close(fd);  // The mapping keeps its own reference.
+  NTW_RETURN_IF_ERROR(pack->ReadHeader());
+  return std::shared_ptr<const WrapperPack>(std::move(pack));
+}
+
+Result<std::shared_ptr<const WrapperPack>> WrapperPack::FromBytes(
+    std::string bytes, std::string label) {
+  auto pack = std::shared_ptr<WrapperPack>(new WrapperPack());
+  pack->path_ = std::move(label);
+  pack->owned_ = std::move(bytes);
+  pack->map_ = pack->owned_.data();
+  pack->map_size_ = pack->owned_.size();
+  NTW_RETURN_IF_ERROR(pack->ReadHeader());
+  return std::shared_ptr<const WrapperPack>(std::move(pack));
+}
+
+Status WrapperPack::ReadHeader() {
+  const size_t size = map_size_;
+  const char* path = path_.c_str();
+  if (size < sizeof(PackHeader)) {
+    return Status::ParseError(
+        StrFormat("pack: %s is truncated (%zu bytes, header needs %zu)", path,
+                  size, sizeof(PackHeader)));
+  }
+  std::memcpy(&header_, map_, sizeof(PackHeader));
+  const PackHeader& h = header_;
 
   if (std::memcmp(h.magic, kPackMagic, sizeof(kPackMagic)) != 0) {
     // Same family, other format revision (NTWPACK1 or NTWPACK2): name
@@ -179,31 +204,28 @@ Result<std::shared_ptr<const WrapperPack>> WrapperPack::Open(
       return Status::ParseError(StrFormat(
           "pack: %s: format %.8s, expected %.8s (rebuild it with ntw_pack "
           "build)",
-          path.c_str(), h.magic, kPackMagic));
+          path, h.magic, kPackMagic));
     }
-    return Status::ParseError(StrFormat("pack: %s: bad magic", path.c_str()));
+    return Status::ParseError(StrFormat("pack: %s: bad magic", path));
   }
   if (h.version != kPackVersion) {
-    return Status::ParseError(
-        StrFormat("pack: %s: version %u, expected %u", path.c_str(),
-                  h.version, kPackVersion));
+    return Status::ParseError(StrFormat("pack: %s: version %u, expected %u",
+                                        path, h.version, kPackVersion));
   }
   if (h.endian != kPackEndian) {
-    return Status::ParseError(
-        StrFormat("pack: %s: endian mismatch (built on a foreign machine)",
-                  path.c_str()));
+    return Status::ParseError(StrFormat(
+        "pack: %s: endian mismatch (built on a foreign machine)", path));
   }
   if (h.file_size != size) {
     return Status::ParseError(
-        StrFormat("pack: %s: header claims %llu bytes, file has %zu",
-                  path.c_str(),
+        StrFormat("pack: %s: header claims %llu bytes, file has %zu", path,
                   static_cast<unsigned long long>(h.file_size), size));
   }
   PackHeader check = h;
   check.header_checksum = 0;
   if (Fnv1a(&check, sizeof(check)) != h.header_checksum) {
     return Status::ParseError(
-        StrFormat("pack: %s: header checksum mismatch", path.c_str()));
+        StrFormat("pack: %s: header checksum mismatch", path));
   }
   // Sections inside the file bound every count an accessor loops over.
   auto fits = [size](uint64_t off, uint64_t count, uint64_t width) {
@@ -213,18 +235,16 @@ Result<std::shared_ptr<const WrapperPack>> WrapperPack::Open(
       !fits(h.entries_off, h.entry_count, sizeof(PackEntryRec)) ||
       !fits(h.strtab_off, h.strtab_len, 1)) {
     return Status::ParseError(
-        StrFormat("pack: %s: sections exceed the file", path.c_str()));
+        StrFormat("pack: %s: sections exceed the file", path));
   }
   // Deliberately no body walk here: Open stays O(mmap) so a million-site
   // pack opens without touching its directory pages. Accessors bounds-
   // check everything they read; Verify() does the full-file job.
-  return std::shared_ptr<const WrapperPack>(std::move(pack));
+  return Status::OK();
 }
 
 WrapperPack::~WrapperPack() {
-  if (map_ != nullptr) {
-    ::munmap(const_cast<char*>(map_), map_size_);
-  }
+  if (mapped_) ::munmap(const_cast<char*>(map_), map_size_);
 }
 
 std::string_view WrapperPack::Bytes(uint64_t off, uint64_t len) const {
@@ -281,20 +301,20 @@ std::optional<WrapperPack::EntryView> WrapperPack::SiteView::entry(
 }
 
 std::optional<WrapperPack::SiteView> WrapperPack::ViewOf(
-    PackSiteRec rec) const {
+    PackSiteRec rec, uint64_t ordinal) const {
   // Open() bounded entry_count by the file size, so a view's entry loop
   // is bounded too; a count past the directory would otherwise spin
   // through up to 2^32 failed reads on every lookup.
   if (uint64_t{rec.entry_begin} + rec.entry_count > header_.entry_count) {
     return std::nullopt;
   }
-  return SiteView(this, rec);
+  return SiteView(this, rec, static_cast<size_t>(ordinal));
 }
 
 std::optional<WrapperPack::SiteView> WrapperPack::site(size_t index) const {
   PackSiteRec rec;
   if (!ReadSite(index, &rec)) return std::nullopt;
-  return ViewOf(rec);
+  return ViewOf(rec, index);
 }
 
 std::optional<WrapperPack::SiteView> WrapperPack::FindSite(
@@ -311,7 +331,7 @@ std::optional<WrapperPack::SiteView> WrapperPack::FindSite(
     } else if (name < mid_name) {
       hi = mid;
     } else {
-      return ViewOf(rec);
+      return ViewOf(rec, mid);
     }
   }
   return std::nullopt;
@@ -379,6 +399,48 @@ Status WrapperPack::Verify() const {
         "pack: %s: contents diverge from a canonical rebuild", path_.c_str()));
   }
   return Status::OK();
+}
+
+Status ForEachWrapperFile(
+    const std::string& root,
+    const std::function<void(const std::string&, const std::string&,
+                             const std::string&)>& visit,
+    std::vector<std::string>* errors) {
+  NTW_ASSIGN_OR_RETURN(std::vector<std::string> site_dirs,
+                       ListSubdirectories(root));
+  for (const std::string& site_dir : site_dirs) {
+    std::string site = std::filesystem::path(site_dir).filename().string();
+    Result<std::vector<std::string>> files = ListFiles(site_dir, kSuffix);
+    if (!files.ok()) {
+      errors->push_back(site_dir + ": " + files.status().ToString());
+      continue;
+    }
+    for (const std::string& file : *files) {
+      std::string attribute = std::filesystem::path(file).filename().string();
+      attribute.resize(attribute.size() - (sizeof(kSuffix) - 1));
+      visit(site, attribute, file);
+    }
+  }
+  return Status::OK();
+}
+
+Status AddWrapperTree(const std::string& root, WrapperPackBuilder* builder,
+                      std::vector<std::string>* errors) {
+  return ForEachWrapperFile(
+      root,
+      [&](const std::string& site, const std::string& attribute,
+          const std::string& path) {
+        Result<std::string> record = ReadFile(path);
+        Status added = record.ok() ? builder->Add(site, attribute, *record)
+                                   : record.status();
+        if (!added.ok()) errors->push_back(path + ": " + added.ToString());
+      },
+      errors);
+}
+
+std::string WrapperFilePath(const std::string& root, const std::string& site,
+                            const std::string& attribute) {
+  return root + "/" + site + "/" + attribute + kSuffix;
 }
 
 }  // namespace ntw::core

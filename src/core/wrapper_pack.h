@@ -2,6 +2,7 @@
 #define NTW_CORE_WRAPPER_PACK_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -17,10 +18,10 @@ namespace ntw::core {
 /// wrapper repository — interned string table and a sorted per-site
 /// directory of serialized wrapper records — laid out so the serving
 /// daemon opens it with one mmap and pages cold sites in on demand.
-/// Produced by `ntw_pack build` from a `<site>/<attr>.wrapper` directory;
-/// consumed by WrapperRepository's pack backend, which compiles each
-/// record it materializes with CompiledWrapper::Compile, as the
-/// directory backend does.
+/// Produced from a `<site>/<attr>.wrapper` directory by `ntw_pack build`
+/// (a file) or by WrapperRepository::Load (in memory, when no pack file
+/// is given); read by WrapperRepository, which compiles each record it
+/// materializes with CompiledWrapper::Compile.
 ///
 /// File layout (NTWPACK3; little/native-endian, guarded by an endian
 /// stamp):
@@ -91,6 +92,9 @@ class WrapperPackBuilder {
   /// set (iteration order does not matter; directories are sorted).
   std::string Build() const;
 
+  /// site → attribute → record, as added so far.
+  const auto& records() const { return sites_; }
+
   /// Build() + atomic write (temp file + rename).
   Status WriteFile(const std::string& path) const;
 
@@ -115,6 +119,11 @@ class WrapperPack {
   /// checksum mismatch.
   static Result<std::shared_ptr<const WrapperPack>> Open(
       const std::string& path);
+
+  /// The in-memory form over WrapperPackBuilder::Build() bytes: Open's
+  /// header checks, no file. `label` stands in for path().
+  static Result<std::shared_ptr<const WrapperPack>> FromBytes(
+      std::string bytes, std::string label);
 
   ~WrapperPack();
   WrapperPack(const WrapperPack&) = delete;
@@ -142,15 +151,18 @@ class WrapperPack {
   class SiteView {
    public:
     std::string_view name() const;
+    /// The site's index in the sorted site directory.
+    size_t ordinal() const { return ordinal_; }
     size_t entry_count() const { return rec_.entry_count; }
     std::optional<EntryView> entry(size_t i) const;
 
    private:
     friend class WrapperPack;
-    SiteView(const WrapperPack* pack, PackSiteRec rec)
-        : pack_(pack), rec_(rec) {}
+    SiteView(const WrapperPack* pack, PackSiteRec rec, size_t ordinal)
+        : pack_(pack), rec_(rec), ordinal_(ordinal) {}
     const WrapperPack* pack_;
     PackSiteRec rec_;
+    size_t ordinal_;
   };
 
   size_t site_count() const { return static_cast<size_t>(header_.site_count); }
@@ -174,19 +186,42 @@ class WrapperPack {
  private:
   WrapperPack() = default;
 
+  /// Open's and FromBytes' one set of header checks over map_/map_size_.
+  Status ReadHeader();
   std::string_view Str(PackStrRef ref) const;
   std::string_view Bytes(uint64_t off, uint64_t len) const;
   // The view of a site record, or nullopt when its entry range leaves
   // the entry directory.
-  std::optional<SiteView> ViewOf(PackSiteRec rec) const;
+  std::optional<SiteView> ViewOf(PackSiteRec rec, uint64_t ordinal) const;
   bool ReadSite(uint64_t index, PackSiteRec* rec) const;
   bool ReadEntry(uint64_t index, PackEntryRec* rec) const;
 
   std::string path_;
-  const char* map_ = nullptr;  // mmap base (read-only).
+  const char* map_ = nullptr;  // Pack bytes: the mapping, or owned_.
   size_t map_size_ = 0;
+  bool mapped_ = false;        // map_ is an mmap to release.
+  std::string owned_;          // FromBytes' storage.
   PackHeader header_{};
 };
+
+/// The one walk over a `<root>/<site>/<attribute>.wrapper` tree: calls
+/// `visit(site, attribute, path)` per file, ascending. Errors (one
+/// "path: status" per unlistable site) go to `errors`; NotFound when
+/// `root` is not a directory.
+Status ForEachWrapperFile(
+    const std::string& root,
+    const std::function<void(const std::string&, const std::string&,
+                             const std::string&)>& visit,
+    std::vector<std::string>* errors);
+
+/// Adds every record of the tree to `builder`; an unreadable file or a
+/// rejected record is skipped and reported as "path: status".
+Status AddWrapperTree(const std::string& root, WrapperPackBuilder* builder,
+                      std::vector<std::string>* errors);
+
+/// `<root>/<site>/<attribute>.wrapper`: where the walk finds a record.
+std::string WrapperFilePath(const std::string& root, const std::string& site,
+                            const std::string& attribute);
 
 }  // namespace ntw::core
 

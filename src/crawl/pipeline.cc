@@ -168,9 +168,7 @@ void CrawlPipeline::ExtractPage(const serve::WrapperRepository::Entry& entry,
 
 void CrawlPipeline::ExtractSiteFused(
     const core::FusedSiteExtractor& fused,
-    const std::vector<
-        std::pair<std::string, const serve::WrapperRepository::Entry*>>&
-        entries,
+    const serve::WrapperRepository::SiteEntries& entries,
     std::string_view site, const std::string& url, const std::string& body,
     int64_t fetch_micros, std::string* chunk) {
   CrawlMetrics& metrics = CrawlMetrics::Get();
@@ -267,10 +265,10 @@ void CrawlPipeline::ProcessItem(FrontierItem* item, std::string* chunk) {
   std::string serialized = url.Serialize();
   if (!site.empty()) {
     serve::WrapperRepository::PinnedSnapshot snapshot = repository_->Pin();
-    // MaterializeSite serves both backends: the directory map and lazily
-    // finalized pack entries, merged in ascending attribute order.
-    std::vector<std::pair<std::string, const serve::WrapperRepository::Entry*>>
-        entries = snapshot->MaterializeSite(site);
+    // The site's slot: every attribute, ascending, overlay shadowing
+    // the pack.
+    const serve::WrapperRepository::SiteEntries& entries =
+        snapshot->MaterializeSite(site);
     std::shared_ptr<const core::FusedSiteExtractor> fused;
     if (options_.fast_path && options_.attribute.empty() &&
         entries.size() >= 2) {

@@ -144,9 +144,7 @@ class CrawlPipeline {
   /// ascending attribute order as the per-attribute loop.
   void ExtractSiteFused(
       const core::FusedSiteExtractor& fused,
-      const std::vector<
-          std::pair<std::string, const serve::WrapperRepository::Entry*>>&
-          entries,
+      const serve::WrapperRepository::SiteEntries& entries,
       std::string_view site, const std::string& url, const std::string& body,
       int64_t fetch_micros, std::string* chunk);
 

@@ -25,20 +25,22 @@ int64_t PeakRssBytes() {
 #endif
 }
 
-int64_t CurrentRssBytes() {
+ResidentBytes CurrentResidentBytes() {
 #if defined(__unix__) && !defined(__APPLE__)
   std::FILE* statm = std::fopen("/proc/self/statm", "r");
-  if (statm == nullptr) return 0;
+  if (statm == nullptr) return {};
   unsigned long long total = 0;
   unsigned long long resident = 0;
-  int fields = std::fscanf(statm, "%llu %llu", &total, &resident);
+  unsigned long long shared = 0;
+  int fields = std::fscanf(statm, "%llu %llu %llu", &total, &resident, &shared);
   std::fclose(statm);
-  if (fields != 2) return 0;
+  if (fields != 3) return {};
   long page = sysconf(_SC_PAGESIZE);
   if (page <= 0) page = 4096;
-  return static_cast<int64_t>(resident) * page;
+  return {static_cast<int64_t>(resident - shared) * page,
+          static_cast<int64_t>(shared) * page};
 #else
-  return 0;  // macOS has no statm; the bench falls back to the peak.
+  return {};  // macOS has no statm.
 #endif
 }
 

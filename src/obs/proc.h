@@ -9,11 +9,16 @@ namespace ntw::obs {
 /// getrusage, scaled from the platform unit). Returns 0 when unavailable.
 int64_t PeakRssBytes();
 
-/// Current resident set size in bytes (/proc/self/statm on Linux).
-/// Unlike the peak, this goes back down when pages are released — what
-/// the repository bench needs to show cold pack opens stay small.
-/// Returns 0 when unavailable.
-int64_t CurrentRssBytes();
+/// The current resident set, split as /proc/self/statm reports it:
+/// `file` is its shared (file-backed) pages, `anon` the rest. Unlike the
+/// peak, both go back down when pages are released — what the
+/// repository bench needs to tell heap from mapped pack pages. Zero
+/// when unavailable.
+struct ResidentBytes {
+  int64_t anon = 0;
+  int64_t file = 0;
+};
+ResidentBytes CurrentResidentBytes();
 
 }  // namespace ntw::obs
 

@@ -195,8 +195,7 @@ void ExtractService::ExtractArray(const WrapperRepository::Entry& entry,
 
 void ExtractService::ExtractAllToJson(
     const WrapperRepository::Snapshot& snapshot, const std::string& site,
-    const std::vector<std::pair<std::string, const WrapperRepository::Entry*>>&
-        entries,
+    const WrapperRepository::SiteEntries& entries,
     const std::string& page_html, obs::JsonWriter& json) const {
   ServiceMetrics& metrics = ServiceMetrics::Get();
   int shard = options_.shard;
@@ -262,11 +261,8 @@ HttpResponse ExtractService::Driftz() const {
   json.KV("self_heal", options_.self_heal && reinducer_ != nullptr);
   json.Key("states");
   json.BeginArray();
-  for (const auto& [key, entry] : snapshot->wrappers) {
-    if (entry.drift != nullptr) entry.drift->WriteJson(json);
-  }
-  // Pack-backed pairs this snapshot has served (lazily materialized);
-  // never overlaps the overlay map — Find() checks the overlay first.
+  // The pairs this snapshot has served: a detector is attached when its
+  // site's slot is built, on the site's first hit.
   for (const auto& [key, entry] : snapshot->CachedEntries()) {
     if (entry->drift != nullptr) entry->drift->WriteJson(json);
   }
@@ -362,8 +358,8 @@ HttpResponse ExtractService::Extract(const HttpRequest& request) const {
 HttpResponse ExtractService::ExtractMulti(
     const WrapperRepository::Snapshot& snapshot, const std::string& site,
     const HttpRequest& request) const {
-  std::vector<std::pair<std::string, const WrapperRepository::Entry*>>
-      entries = snapshot.MaterializeSite(site);
+  const WrapperRepository::SiteEntries& entries =
+      snapshot.MaterializeSite(site);
   if (entries.empty()) {
     ServiceMetrics::Get().wrapper_misses->Add(options_.shard, 1);
     return ErrorResponse(404, "no wrappers for site '" + site + "'");
@@ -384,8 +380,8 @@ HttpResponse ExtractService::ExtractMulti(
 HttpResponse ExtractService::ExtractBatchMulti(
     const WrapperRepository::Snapshot& snapshot, const std::string& site,
     const HttpRequest& request) const {
-  std::vector<std::pair<std::string, const WrapperRepository::Entry*>>
-      entries = snapshot.MaterializeSite(site);
+  const WrapperRepository::SiteEntries& entries =
+      snapshot.MaterializeSite(site);
   if (entries.empty()) {
     ServiceMetrics::Get().wrapper_misses->Add(options_.shard, 1);
     return ErrorResponse(404, "no wrappers for site '" + site + "'");

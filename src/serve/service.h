@@ -99,8 +99,7 @@ class ExtractService {
   /// per-attribute through ExtractArray — byte-identical by contract.
   void ExtractAllToJson(
       const WrapperRepository::Snapshot& snapshot, const std::string& site,
-      const std::vector<std::pair<std::string, const WrapperRepository::Entry*>>&
-          entries,
+      const WrapperRepository::SiteEntries& entries,
       const std::string& page_html, obs::JsonWriter& json) const;
 
   const WrapperRepository* repository_;

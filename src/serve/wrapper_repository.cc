@@ -25,14 +25,11 @@ struct RepoMetrics {
   obs::Counter* snapshots_retired;
   obs::Counter* snapshots_freed;
   obs::Counter* publishes;
-  /// Directory reload entries reused because their file's (mtime, size)
-  /// was unchanged — the incremental-reload win.
-  obs::Counter* reload_entries_reused;
-  /// Pack entries lazily finalized into a snapshot's compiled-plan cache.
+  /// Entries parsed and compiled into a snapshot's site slots.
   obs::Counter* pack_materializations;
   obs::Gauge* wrappers;
   obs::Gauge* version;
-  /// Sites in the mapped pack generation (0 for the directory backend).
+  /// Sites in the snapshot's pack, mapped or packed in memory.
   obs::Gauge* pack_sites;
   /// Time from a snapshot's retirement (new one published) to its actual
   /// free — how long the epoch quiescence point took to pass. Large
@@ -46,7 +43,6 @@ struct RepoMetrics {
         obs::Registry::Global().GetCounter("ntw.repo.snapshots_retired"),
         obs::Registry::Global().GetCounter("ntw.repo.snapshots_freed"),
         obs::Registry::Global().GetCounter("ntw.repo.publishes"),
-        obs::Registry::Global().GetCounter("ntw.repo.reload_entries_reused"),
         obs::Registry::Global().GetCounter("ntw.repo.pack_materializations"),
         obs::Registry::Global().GetGauge("ntw.repo.wrappers"),
         obs::Registry::Global().GetGauge("ntw.repo.version"),
@@ -57,8 +53,6 @@ struct RepoMetrics {
     return m;
   }
 };
-
-constexpr char kSuffix[] = ".wrapper";
 
 /// FNV-1a over a byte view — the fingerprint accumulator.
 void HashBytes(std::string_view bytes, uint64_t* hash) {
@@ -86,21 +80,6 @@ std::pair<uint64_t, uint64_t> StatFile(const std::string& path) {
   return {mtime, size};
 }
 
-/// How a wrapper record becomes a servable entry, for the directory scan
-/// and the pack materializer alike: strip the file's trailing newline,
-/// parse, compile.
-Result<WrapperRepository::Entry> EntryFromRecord(std::string_view record) {
-  while (!record.empty() &&
-         (record.back() == '\n' || record.back() == '\r')) {
-    record.remove_suffix(1);
-  }
-  WrapperRepository::Entry entry;
-  entry.record = std::string(record);
-  NTW_ASSIGN_OR_RETURN(entry.wrapper, core::DeserializeWrapper(entry.record));
-  entry.compiled = core::CompiledWrapper::Compile(*entry.wrapper);
-  return entry;
-}
-
 /// Every /extract response member before "values" is fixed per entry
 /// within a snapshot; serialize once through the same JsonWriter calls
 /// the service used to make per request — stripping the enclosing braces
@@ -126,11 +105,6 @@ void DriftRegistry::Configure(const DriftConfig& config) {
   config_ = config;
   enabled_ = config.enabled;
   if (!enabled_) states_.clear();
-}
-
-bool DriftRegistry::enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return enabled_;
 }
 
 std::shared_ptr<DriftState> DriftRegistry::GetOrCreate(
@@ -169,99 +143,154 @@ void DriftRegistry::PruneIf(
   }
 }
 
-const WrapperRepository::Entry* WrapperRepository::Snapshot::Find(
-    const std::string& site, const std::string& attribute) const {
-  auto it = wrappers.find({site, attribute});
-  if (it != wrappers.end()) return &it->second;
-  if (pack == nullptr) return nullptr;
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return MaterializeLocked(site, attribute);
+/// One site's compiled entries and fused extractor, immutable once its
+/// slot is published.
+struct WrapperRepository::Snapshot::SiteSlot {
+  std::string site;
+  std::vector<Entry> storage;  // Reserved up front: `entries` points in.
+  SiteEntries entries;
+  std::shared_ptr<const core::FusedSiteExtractor> fused;
+};
+
+/// Value-initialized by `new SlotChunk()`: every slot starts null.
+struct WrapperRepository::Snapshot::SlotChunk {
+  std::atomic<const SiteSlot*> slots[kSlotsPerChunk];
+};
+
+WrapperRepository::Snapshot::~Snapshot() {
+  for (const auto& cell : chunks_) {
+    SlotChunk* chunk = cell.load(std::memory_order_acquire);
+    if (chunk == nullptr) continue;
+    for (const auto& slot : chunk->slots) {
+      delete slot.load(std::memory_order_acquire);
+    }
+    delete chunk;
+  }
 }
 
-const WrapperRepository::Entry* WrapperRepository::Snapshot::MaterializeLocked(
-    const std::string& site, const std::string& attribute) const {
-  auto key = std::make_pair(site, attribute);
-  auto cached = cache_.find(key);
-  if (cached != cache_.end()) return cached->second.get();
-  auto pack_entry = pack->FindEntry(site, attribute);
-  if (!pack_entry.has_value()) return nullptr;  // True miss: not cached.
-
-  Result<Entry> parsed = EntryFromRecord(pack_entry->record());
-  if (!parsed.ok()) return nullptr;  // Corrupt record: behave as a miss.
-  auto entry = std::make_unique<Entry>(std::move(*parsed));
-  entry->response_prefix =
-      BuildResponsePrefix(site, attribute, entry->record, version);
-  if (drift_registry_ != nullptr) {
-    entry->drift = drift_registry_->GetOrCreate(site, attribute, entry->record);
+void WrapperRepository::Snapshot::Index() {
+  wrapper_count_ = static_cast<size_t>(pack->header().entry_count);
+  for (const auto& [site, attributes] : overlay_) {
+    bool in_pack = pack->FindSite(site).has_value();
+    if (!in_pack) overlay_only_sites_.push_back(site);
+    for (const auto& [attribute, record] : attributes) {
+      if (!in_pack || !pack->FindEntry(site, attribute).has_value()) {
+        ++wrapper_count_;
+      }
+    }
   }
-  RepoMetrics::Get().pack_materializations->Add(1);
-  const Entry* out = entry.get();
-  cache_.emplace(std::move(key), std::move(entry));
-  return out;
+  size_t sites = pack->site_count() + overlay_only_sites_.size();
+  chunks_ = std::vector<std::atomic<SlotChunk*>>(
+      (sites + kSlotsPerChunk - 1) / kSlotsPerChunk);
+}
+
+const WrapperRepository::Snapshot::SiteSlot*
+WrapperRepository::Snapshot::Slot(const std::string& site) const {
+  size_t ordinal = 0;
+  if (auto pack_site = pack->FindSite(site)) {
+    ordinal = pack_site->ordinal();
+  } else {
+    auto it = std::lower_bound(overlay_only_sites_.begin(),
+                               overlay_only_sites_.end(), site);
+    if (it == overlay_only_sites_.end() || *it != site) return nullptr;
+    ordinal = pack->site_count() +
+              static_cast<size_t>(it - overlay_only_sites_.begin());
+  }
+  // The hit path: two acquire loads, no lock.
+  const SlotChunk* chunk =
+      chunks_[ordinal / kSlotsPerChunk].load(std::memory_order_acquire);
+  if (chunk != nullptr) {
+    const SiteSlot* slot =
+        chunk->slots[ordinal % kSlotsPerChunk].load(std::memory_order_acquire);
+    if (slot != nullptr) return slot;
+  }
+  return BuildSlot(site, ordinal);
+}
+
+const WrapperRepository::Snapshot::SiteSlot*
+WrapperRepository::Snapshot::BuildSlot(const std::string& site,
+                                       size_t ordinal) const {
+  std::lock_guard<std::mutex> lock(build_mu_);
+  std::atomic<SlotChunk*>& chunk_cell = chunks_[ordinal / kSlotsPerChunk];
+  SlotChunk* chunk = chunk_cell.load(std::memory_order_relaxed);
+  if (chunk == nullptr) {
+    chunk = new SlotChunk();
+    chunk_cell.store(chunk, std::memory_order_release);
+  }
+  std::atomic<const SiteSlot*>& cell = chunk->slots[ordinal % kSlotsPerChunk];
+  // Another thread may have built the slot while this one waited.
+  if (const SiteSlot* built = cell.load(std::memory_order_relaxed)) {
+    return built;
+  }
+
+  // The site's records, ascending; an overlay record shadows the pack's.
+  std::map<std::string, std::string_view> records;
+  if (auto pack_site = pack->FindSite(site)) {
+    for (size_t i = 0; i < pack_site->entry_count(); ++i) {
+      if (auto entry = pack_site->entry(i)) {
+        records.emplace(std::string(entry->attribute()), entry->record());
+      }
+    }
+  }
+  auto overlay = overlay_.find(site);
+  if (overlay != overlay_.end()) {
+    for (const auto& [attribute, record] : overlay->second) {
+      records[attribute] = record;
+    }
+  }
+
+  // The one place an entry is parsed, compiled, and given its response
+  // prefix and detector. Records arrive trimmed (WrapperPackBuilder::Add
+  // strips a file's newline).
+  auto slot = std::make_unique<SiteSlot>();
+  slot->site = site;
+  slot->storage.reserve(records.size());
+  std::vector<std::pair<std::string, std::shared_ptr<const core::CompiledWrapper>>>
+      plans;
+  for (const auto& [attribute, record] : records) {
+    std::string text(record);
+    Result<core::WrapperPtr> wrapper = core::DeserializeWrapper(text);
+    if (!wrapper.ok()) continue;  // An unparseable record is a miss.
+    Entry& entry = slot->storage.emplace_back();
+    entry.record = std::move(text);
+    entry.wrapper = std::move(*wrapper);
+    entry.compiled = core::CompiledWrapper::Compile(*entry.wrapper);
+    entry.response_prefix =
+        BuildResponsePrefix(site, attribute, entry.record, version);
+    entry.drift = drift_registry_->GetOrCreate(site, attribute, entry.record);
+    slot->entries.emplace_back(attribute, &entry);
+    plans.emplace_back(attribute, entry.compiled);
+  }
+  slot->fused = core::FusedSiteExtractor::Build(std::move(plans));
+  RepoMetrics::Get().pack_materializations->Add(
+      static_cast<int64_t>(slot->storage.size()));
+  cell.store(slot.get(), std::memory_order_release);
+  return slot.release();
+}
+
+const WrapperRepository::Entry* WrapperRepository::Snapshot::Find(
+    const std::string& site, const std::string& attribute) const {
+  const SiteSlot* slot = Slot(site);
+  if (slot == nullptr) return nullptr;
+  auto it = std::lower_bound(
+      slot->entries.begin(), slot->entries.end(), attribute,
+      [](const std::pair<std::string, const Entry*>& entry,
+         const std::string& name) { return entry.first < name; });
+  if (it == slot->entries.end() || it->first != attribute) return nullptr;
+  return it->second;
 }
 
 std::shared_ptr<const core::FusedSiteExtractor>
 WrapperRepository::Snapshot::FindFused(const std::string& site) const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto hit = fused_cache_.find(site);
-  if (hit != fused_cache_.end()) return hit->second;
-  // One build over the site's live entries: directory, pack and overlay
-  // alike, with overlay publishes already shadowing their pack entries.
-  std::vector<std::pair<std::string, const Entry*>> entries =
-      MaterializeSiteLocked(site);
-  if (entries.empty()) return nullptr;  // Unknown site: not cached.
-  std::vector<
-      std::pair<std::string, std::shared_ptr<const core::CompiledWrapper>>>
-      plans;
-  plans.reserve(entries.size());
-  for (auto& [attribute, entry] : entries) {
-    plans.emplace_back(std::move(attribute), entry->compiled);
-  }
-  // Cache even a null result (site exists, nothing dom_free): the
-  // lookup answer is stable for the snapshot's lifetime.
-  std::shared_ptr<const core::FusedSiteExtractor> fused =
-      core::FusedSiteExtractor::Build(std::move(plans));
-  fused_cache_[site] = fused;
-  return fused;
+  const SiteSlot* slot = Slot(site);
+  return slot == nullptr ? nullptr : slot->fused;
 }
 
-std::vector<std::pair<std::string, const WrapperRepository::Entry*>>
+const WrapperRepository::SiteEntries&
 WrapperRepository::Snapshot::MaterializeSite(const std::string& site) const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return MaterializeSiteLocked(site);
-}
-
-std::vector<std::pair<std::string, const WrapperRepository::Entry*>>
-WrapperRepository::Snapshot::MaterializeSiteLocked(
-    const std::string& site) const {
-  std::vector<std::pair<std::string, const Entry*>> overlay;
-  for (auto it = wrappers.lower_bound({site, std::string()});
-       it != wrappers.end() && it->first.first == site; ++it) {
-    overlay.emplace_back(it->first.second, &it->second);
-  }
-  if (pack == nullptr) return overlay;
-  auto pack_site = pack->FindSite(site);
-  if (!pack_site.has_value()) return overlay;
-
-  std::vector<std::pair<std::string, const Entry*>> merged;
-  size_t oi = 0;
-  for (size_t i = 0; i < pack_site->entry_count(); ++i) {
-    auto pack_entry = pack_site->entry(i);
-    if (!pack_entry.has_value()) continue;
-    std::string attribute(pack_entry->attribute());
-    // Merge with the (also ascending) overlay; overlay shadows equal names.
-    while (oi < overlay.size() && overlay[oi].first < attribute) {
-      merged.push_back(overlay[oi++]);
-    }
-    if (oi < overlay.size() && overlay[oi].first == attribute) {
-      merged.push_back(overlay[oi++]);
-      continue;
-    }
-    const Entry* entry = MaterializeLocked(site, attribute);
-    if (entry != nullptr) merged.emplace_back(std::move(attribute), entry);
-  }
-  while (oi < overlay.size()) merged.push_back(overlay[oi++]);
-  return merged;
+  static const SiteEntries kNoEntries;
+  const SiteSlot* slot = Slot(site);
+  return slot == nullptr ? kNoEntries : slot->entries;
 }
 
 std::vector<std::pair<std::pair<std::string, std::string>,
@@ -269,27 +298,29 @@ std::vector<std::pair<std::pair<std::string, std::string>,
 WrapperRepository::Snapshot::CachedEntries() const {
   std::vector<std::pair<std::pair<std::string, std::string>, const Entry*>>
       out;
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  out.reserve(cache_.size());
-  for (const auto& [key, entry] : cache_) {
-    out.emplace_back(key, entry.get());
+  for (const auto& chunk_cell : chunks_) {
+    const SlotChunk* chunk = chunk_cell.load(std::memory_order_acquire);
+    if (chunk == nullptr) continue;
+    for (const auto& cell : chunk->slots) {
+      const SiteSlot* slot = cell.load(std::memory_order_acquire);
+      if (slot == nullptr) continue;
+      for (const auto& [attribute, entry] : slot->entries) {
+        out.push_back({{slot->site, attribute}, entry});
+      }
+    }
   }
   return out;
-}
-
-size_t WrapperRepository::Snapshot::TotalWrapperCount() const {
-  size_t count = wrappers.size();
-  if (pack != nullptr) {
-    count += static_cast<size_t>(pack->header().entry_count);
-  }
-  return count;
 }
 
 WrapperRepository::WrapperRepository(Options options)
     : root_(std::move(options.root)),
       pack_path_(std::move(options.pack_path)),
       drift_registry_(std::make_shared<DriftRegistry>()) {
-  snapshot_ = NewSnapshot();
+  auto empty = NewSnapshot();  // No sites until the first Load().
+  empty->pack = *core::WrapperPack::FromBytes(
+      core::WrapperPackBuilder().Build(), "(empty)");
+  empty->Index();
+  snapshot_ = std::move(empty);
   current_.store(snapshot_.get(), std::memory_order_seq_cst);
 }
 
@@ -306,24 +337,20 @@ uint64_t WrapperRepository::DiskFingerprint() const {
   // equal sizes — that adds, removes or rewrites a file with a new
   // timestamp changes this.
   uint64_t hash = 1469598103934665603ULL;  // FNV offset basis.
-  if (!pack_path_.empty()) {
-    auto [mtime, size] = StatFile(pack_path_);
-    HashBytes(pack_path_, &hash);
+  auto fold = [&hash](const std::string& path) {
+    auto [mtime, size] = StatFile(path);
+    HashBytes(path, &hash);
     HashInt(mtime, &hash);
     HashInt(size, &hash);
-  }
-  if (root_.empty()) return hash;
-  Result<std::vector<std::string>> sites = ListSubdirectories(root_);
-  if (!sites.ok()) return hash;
-  for (const std::string& site_dir : *sites) {
-    Result<std::vector<std::string>> files = ListFiles(site_dir, kSuffix);
-    if (!files.ok()) continue;
-    for (const std::string& file : *files) {
-      auto [mtime, size] = StatFile(file);
-      HashBytes(file, &hash);
-      HashInt(mtime, &hash);
-      HashInt(size, &hash);
-    }
+  };
+  if (!pack_path_.empty()) fold(pack_path_);
+  if (!root_.empty()) {
+    std::vector<std::string> unlisted;
+    (void)core::ForEachWrapperFile(
+        root_,
+        [&fold](const std::string&, const std::string&,
+                const std::string& path) { fold(path); },
+        &unlisted);
   }
   return hash;
 }
@@ -332,113 +359,63 @@ Status WrapperRepository::Load() {
   uint64_t fingerprint = DiskFingerprint();
   auto next = NewSnapshot();
 
-  // Pack backend: map (or re-use) the pack generation. Failures warn and
-  // fall back to the directory backend — a bad pack must not take down a
-  // daemon that still has its overlay directory.
-  std::shared_ptr<const Snapshot> prev;
-  std::pair<uint64_t, uint64_t> prev_pack_meta;
-  std::map<std::string, std::pair<uint64_t, uint64_t>> prev_file_meta;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    prev = snapshot_;
-    prev_pack_meta = pack_meta_;
-    prev_file_meta = std::move(file_meta_);
-    file_meta_.clear();
-  }
-  std::pair<uint64_t, uint64_t> new_pack_meta{0, 0};
+  // A pack file: map it (a reload maps it afresh — the new snapshot's
+  // slots are cold either way). A failure warns and packs the directory
+  // instead — a bad pack must not take down a daemon that still has its
+  // wrapper tree.
   if (!pack_path_.empty()) {
-    new_pack_meta = StatFile(pack_path_);
-    if (prev->pack != nullptr && new_pack_meta == prev_pack_meta &&
-        new_pack_meta != std::make_pair<uint64_t, uint64_t>(0, 0)) {
-      next->pack = prev->pack;  // Unchanged file: keep the warm mapping.
+    auto pack = core::WrapperPack::Open(pack_path_);
+    if (pack.ok()) {
+      next->pack = std::move(*pack);
     } else {
-      auto pack = core::WrapperPack::Open(pack_path_);
-      if (pack.ok()) {
-        next->pack = std::move(*pack);
-      } else {
-        std::fprintf(stderr,
-                     "[repo] warning: %s — falling back to directory "
-                     "backend\n",
-                     pack.status().ToString().c_str());
-        next->errors.push_back(pack_path_ + ": " + pack.status().ToString());
-        new_pack_meta = {0, 0};
-      }
+      std::fprintf(stderr,
+                   "[repo] warning: %s — falling back to the wrapper "
+                   "directory\n",
+                   pack.status().ToString().c_str());
+      next->errors.push_back(pack_path_ + ": " + pack.status().ToString());
     }
   }
 
-  // Directory scan: the whole repository (directory backend) or the
-  // overlay delta (pack backend). Incremental: a file whose (mtime,
-  // size) is unchanged reuses the previous snapshot's parsed entry —
-  // SIGHUP on a large repository re-parses only what changed.
-  std::map<std::string, std::pair<uint64_t, uint64_t>> new_file_meta;
-  size_t reused = 0;
-  if (!root_.empty()) {
-    Result<std::vector<std::string>> site_dirs = ListSubdirectories(root_);
-    if (!site_dirs.ok()) {
-      if (next->pack == nullptr) return site_dirs.status();
-      // Pack-only serving with a missing overlay directory is fine.
-    } else {
-      for (const std::string& site_dir : *site_dirs) {
-        std::string site = fs::path(site_dir).filename().string();
-        Result<std::vector<std::string>> files = ListFiles(site_dir, kSuffix);
-        if (!files.ok()) {
-          next->errors.push_back(site_dir + ": " + files.status().ToString());
-          continue;
-        }
-        for (const std::string& file : *files) {
-          std::string attribute = fs::path(file).filename().string();
-          attribute.resize(attribute.size() - (sizeof(kSuffix) - 1));
-          auto meta = StatFile(file);
-          new_file_meta[file] = meta;
-          auto prev_meta = prev_file_meta.find(file);
-          if (prev_meta != prev_file_meta.end() &&
-              prev_meta->second == meta && meta.second != 0) {
-            auto prev_entry = prev->wrappers.find({site, attribute});
-            if (prev_entry != prev->wrappers.end()) {
-              // Unchanged on disk: reuse the parsed wrapper and compiled
-              // plan (shared, immutable). The response prefix and drift
-              // state are (re)attached at swap time as always.
-              Entry entry;
-              entry.wrapper = prev_entry->second.wrapper;
-              entry.record = prev_entry->second.record;
-              entry.compiled = prev_entry->second.compiled;
-              next->wrappers[{site, attribute}] = std::move(entry);
-              ++reused;
-              continue;
-            }
-          }
-          Result<std::string> record = ReadFile(file);
-          if (!record.ok()) {
-            next->errors.push_back(file + ": " + record.status().ToString());
-            continue;
-          }
-          // Compile once per load; every request then executes the plan.
-          Result<Entry> entry = EntryFromRecord(*record);
-          if (!entry.ok()) {
-            next->errors.push_back(file + ": " + entry.status().ToString());
-            continue;
-          }
-          next->wrappers[{site, attribute}] = std::move(*entry);
-        }
-      }
+  if (next->pack != nullptr) {
+    // Next to a pack file, the wrapper tree is the overlay; a missing
+    // overlay directory is fine.
+    if (!root_.empty()) {
+      core::WrapperPackBuilder overlay;
+      (void)core::AddWrapperTree(root_, &overlay, &next->errors);
+      next->overlay_ = overlay.records();
     }
-  } else if (next->pack == nullptr) {
+  } else if (root_.empty()) {
     // No directory and no (working) pack: nothing to serve from.
     if (!next->errors.empty()) {
       return Status::FailedPrecondition(next->errors.back());
     }
     return Status::InvalidArgument("repository has neither root nor pack");
+  } else {
+    // The wrapper tree, read and validated into an in-memory pack;
+    // nothing is compiled until a site's first hit.
+    core::WrapperPackBuilder builder;
+    NTW_RETURN_IF_ERROR(core::AddWrapperTree(root_, &builder, &next->errors));
+    NTW_ASSIGN_OR_RETURN(next->pack,
+                         core::WrapperPack::FromBytes(builder.Build(), root_));
   }
+
+  // Drop the detectors of pairs the new snapshot lacks, so a pair that
+  // vanishes and comes back later starts a fresh baseline.
+  drift_registry_->PruneIf(
+      [&next](const std::pair<std::string, std::string>& key) {
+        auto site = next->overlay_.find(key.first);
+        if (site != next->overlay_.end() && site->second.count(key.second)) {
+          return false;
+        }
+        return !next->pack->FindEntry(key.first, key.second).has_value();
+      });
 
   RepoMetrics& metrics = RepoMetrics::Get();
   metrics.reloads->Add(1);
-  metrics.reload_entries_reused->Add(static_cast<int64_t>(reused));
   metrics.load_errors->Add(static_cast<int64_t>(next->errors.size()));
   std::shared_ptr<const Snapshot> old;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    file_meta_ = std::move(new_file_meta);
-    pack_meta_ = new_pack_meta;
     SwapSnapshotLocked(std::move(next), fingerprint, &old);
   }
   RetireSnapshot(std::move(old));
@@ -449,42 +426,15 @@ void WrapperRepository::SetDriftConfig(const DriftConfig& config) {
   drift_registry_->Configure(config);
 }
 
-void WrapperRepository::AttachDriftStates(Snapshot* next) {
-  if (!drift_registry_->enabled()) return;
-  for (auto& [key, entry] : next->wrappers) {
-    entry.drift =
-        drift_registry_->GetOrCreate(key.first, key.second, entry.record);
-  }
-  if (next->pack == nullptr) {
-    // Prune detectors whose (site, attribute) vanished from disk. With a
-    // pack the registry holds only pairs that served traffic, and the
-    // overlay map is not the full universe — never prune there.
-    const auto& live = next->wrappers;
-    drift_registry_->PruneIf(
-        [&live](const std::pair<std::string, std::string>& key) {
-          return live.find(key) == live.end();
-        });
-  }
-}
-
 void WrapperRepository::SwapSnapshotLocked(
     std::shared_ptr<Snapshot> next, uint64_t fingerprint,
     std::shared_ptr<const Snapshot>* old) {
   RepoMetrics& metrics = RepoMetrics::Get();
   next->version = snapshot_->version + 1;
-  AttachDriftStates(next.get());
-  // The version is now known, so the constant response members can be
-  // serialized per entry.
-  for (auto& [key, entry] : next->wrappers) {
-    entry.response_prefix =
-        BuildResponsePrefix(key.first, key.second, entry.record, next->version);
-  }
+  next->Index();
   metrics.wrappers->Set(static_cast<int64_t>(next->TotalWrapperCount()));
   metrics.version->Set(static_cast<int64_t>(next->version));
-  metrics.pack_sites->Set(
-      next->pack == nullptr
-          ? 0
-          : static_cast<int64_t>(next->pack->header().site_count));
+  metrics.pack_sites->Set(static_cast<int64_t>(next->pack->site_count()));
   *old = std::move(snapshot_);
   snapshot_ = std::move(next);
   // The publish: from here every Pin() sees the new snapshot. Readers
@@ -499,9 +449,9 @@ void WrapperRepository::RetireSnapshot(
   // is freed (the shared_ptr released) once every reader pinned before
   // the publish has unpinned — the per-shard quiescence point. The free
   // runs from whichever thread's ReclaimRetired() observes quiescence.
-  // With a pack backend this is also what retires a *pack generation*:
-  // the snapshot's shared mapping handle drops here, unmapping the old
-  // file once no reader can still reference it.
+  // This is also what retires a *pack generation*: the snapshot's shared
+  // pack handle drops here, unmapping the old file (or freeing the old
+  // in-memory pack) once no reader can still reference it.
   RepoMetrics& metrics = RepoMetrics::Get();
   metrics.snapshots_retired->Add(1);
   auto retired_at = std::chrono::steady_clock::now();
@@ -532,13 +482,14 @@ Status WrapperRepository::PublishWrapper(const std::string& site,
   if (!root_.empty()) {
     // Persist before publishing: a repair must survive a restart, and the
     // write-temp + rename keeps a concurrent Load() (or a crash) from ever
-    // seeing a torn wrapper file. The dot prefix keeps the temp name out of
-    // the ListFiles(".wrapper") scan until the rename. With a pack backend
-    // this writes the *overlay* file that shadows the mapped entry.
-    std::string dir = root_ + "/" + site;
-    NTW_RETURN_IF_ERROR(MakeDirs(dir));
-    std::string path = dir + "/" + attribute + kSuffix;
-    std::string temp = dir + "/." + attribute + kSuffix + ".tmp";
+    // seeing a torn wrapper file. The temp name does not end in the
+    // wrapper suffix, so the tree walk skips it until the rename. Next to
+    // a pack file this writes the *overlay* file that shadows the pack.
+    fs::path path = core::WrapperFilePath(root_, site, attribute);
+    NTW_RETURN_IF_ERROR(MakeDirs(path.parent_path().string()));
+    std::string temp =
+        (path.parent_path() / ("." + path.filename().string() + ".tmp"))
+            .string();
     NTW_RETURN_IF_ERROR(WriteFile(temp, record + "\n"));
     std::error_code ec;
     fs::rename(temp, path, ec);
@@ -553,27 +504,21 @@ Status WrapperRepository::PublishWrapper(const std::string& site,
     persisted = true;
   }
 
-  Entry entry;
-  entry.wrapper = wrapper;
-  entry.record = record;
-  entry.compiled = core::CompiledWrapper::Compile(*wrapper);
-
   std::shared_ptr<const Snapshot> old;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Pack-only mode persisted nothing: keep the incumbent fingerprint
     // (read under mu_ — a concurrent Load() writes it there too).
     if (!persisted) fingerprint = loaded_fingerprint_;
-    // Snapshots are non-copyable (they own lazy caches); clone the
-    // immutable parts and start with cold caches — entries and fused
-    // extractors re-materialize against the bumped version, so stale
-    // response prefixes can never leak across the publish.
+    // The new snapshot shares the pack and starts with a cold slot
+    // table: entries and fused extractors rebuild against the bumped
+    // version, so stale response prefixes never leak across the publish.
     auto next = NewSnapshot();
-    next->wrappers = snapshot_->wrappers;
     next->errors = snapshot_->errors;
     next->pack = snapshot_->pack;
-    next->wrappers[{site, attribute}] = std::move(entry);
-    // Force a re-baseline: drop the drifted detector so AttachDriftStates
+    next->overlay_ = snapshot_->overlay_;
+    next->overlay_[site][attribute] = std::move(record);
+    // Force a re-baseline: drop the drifted detector so the slot build
     // creates a fresh one for the repaired wrapper (its healthy signal
     // profile is different).
     drift_registry_->Drop(site, attribute);
@@ -604,6 +549,7 @@ bool WrapperRepository::PollForChanges() const {
 void WrapperRepository::EnsureLedgerLoadedLocked() const {
   if (ledger_loaded_) return;
   ledger_loaded_ = true;
+  if (root_.empty()) return;  // Pack-only: the ledger lives in memory.
   Result<std::string> body = ReadFile(root_ + "/.repairs.tsv");
   if (!body.ok()) return;  // No ledger yet — a fresh repository.
   for (const std::string& line : Split(*body, '\n')) {
@@ -635,16 +581,18 @@ void WrapperRepository::RecordRepair(RepairRecord record) {
   record.published_version = snapshot_->version;
   // Durable first (append-only; a torn tail line is skipped on reload),
   // then the in-memory tail /driftz serves from.
-  std::string line = StrFormat(
-      "%lld\t%s\t%s\t%.17g\t%.17g\t%lld\t%llu\n",
-      static_cast<long long>(record.sequence), record.site.c_str(),
-      record.attribute.c_str(), record.incumbent_score, record.repair_score,
-      static_cast<long long>(record.labels),
-      static_cast<unsigned long long>(record.published_version));
-  std::FILE* file = std::fopen((root_ + "/.repairs.tsv").c_str(), "ab");
-  if (file != nullptr) {
-    std::fwrite(line.data(), 1, line.size(), file);
-    std::fclose(file);
+  if (!root_.empty()) {
+    std::string line = StrFormat(
+        "%lld\t%s\t%s\t%.17g\t%.17g\t%lld\t%llu\n",
+        static_cast<long long>(record.sequence), record.site.c_str(),
+        record.attribute.c_str(), record.incumbent_score, record.repair_score,
+        static_cast<long long>(record.labels),
+        static_cast<unsigned long long>(record.published_version));
+    std::FILE* file = std::fopen((root_ + "/.repairs.tsv").c_str(), "ab");
+    if (file != nullptr) {
+      std::fwrite(line.data(), 1, line.size(), file);
+      std::fclose(file);
+    }
   }
   ledger_.push_back(std::move(record));
   if (ledger_.size() > kLedgerCapacity) {

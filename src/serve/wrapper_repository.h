@@ -23,14 +23,13 @@
 namespace ntw::serve {
 
 /// The durable home of per-(site, attribute) drift detector states,
-/// shared by the repository and every snapshot so that lazily
-/// materialized pack entries attach the same detector a prior snapshot
-/// used (detectors must survive snapshot swaps while the wrapper record
-/// is unchanged). Thread-safe.
+/// shared by the repository and every snapshot so that an entry built
+/// in a new snapshot attaches the same detector a prior snapshot used
+/// (detectors must survive snapshot swaps while the wrapper record is
+/// unchanged). Thread-safe.
 class DriftRegistry {
  public:
   void Configure(const DriftConfig& config);
-  bool enabled() const;
 
   /// The detector for (site, attribute): the existing one when its
   /// baseline record matches `record`, otherwise a fresh re-baselined
@@ -43,9 +42,8 @@ class DriftRegistry {
   /// (used when a repair replaces the wrapper).
   void Drop(const std::string& site, const std::string& attribute);
 
-  /// Erases detectors whose key satisfies `dead` — directory-backend
-  /// reloads prune vanished wrappers. (Pack backends never prune: the
-  /// registry only ever holds pairs that actually served traffic.)
+  /// Erases detectors whose key satisfies `dead` — every reload prunes
+  /// the pairs its snapshot no longer has.
   void PruneIf(
       const std::function<bool(const std::pair<std::string, std::string>&)>&
           dead);
@@ -60,20 +58,17 @@ class DriftRegistry {
 
 /// A repository of learned wrappers, keyed by (site, attribute) — the
 /// paper's deployment unit: learn once per site from noisy annotations,
-/// then re-apply to every freshly crawled page of that site. Two
-/// backends share one read API:
+/// then re-apply to every freshly crawled page of that site.
 ///
-///   - Directory: `<root>/<site>/<attribute>.wrapper` record files,
-///     eagerly parsed + compiled into the snapshot at Load() (reloads
-///     are incremental: files whose (mtime, size) are unchanged reuse
-///     the previous snapshot's parsed entry).
-///   - Pack (DESIGN.md §15): a single mmap'd wrapper-pack file
-///     (`--pack`). Load() is O(mmap); cold sites page in on demand and
-///     are lazily finalized into a per-snapshot compiled-plan cache on
-///     first hit. The directory root, when also given, acts as an
-///     eagerly-loaded *overlay delta* on top of the mapped generation —
-///     `PublishWrapper` self-heal repairs land there, shadowing the
-///     pack entry of the same (site, attribute).
+/// A snapshot reads one wrapper pack (DESIGN.md §15) — the mmap'd
+/// `pack_path`, or the `<root>/<site>/<attribute>.wrapper` tree packed in
+/// memory when there is no pack file or it fails to open — plus an
+/// overlay that shadows it: hot publishes (`PublishWrapper` self-heal
+/// repairs) and, next to a pack file, the records under `root`. Load()
+/// compiles nothing. Lookups go through one slot per site, indexed by
+/// pack ordinal (then the overlay's sites the pack lacks): the site's
+/// first hit builds its compiled entries and fused extractor, and later
+/// hits read the slot without a lock.
 ///
 /// Concurrency model (DESIGN.md §11): the request path takes Pin() — a
 /// wait-free epoch pin plus one atomic pointer load, no lock — and uses
@@ -81,39 +76,35 @@ class DriftRegistry {
 /// concurrent reload can never show a request a half-updated repository.
 /// Load() builds a complete new snapshot entirely off the data path,
 /// publishes it with a single atomic store, and hands the old snapshot
-/// to an EpochDomain: it is freed only once every reader pinned before
-/// the publish has finished. With a pack backend the swap publishes
-/// *pack generations*: each snapshot owns a shared handle on its
-/// mapping, so a reload to a rebuilt pack file leaves in-flight readers
-/// on the old mapping until their pins release. A wrapper file (or pack)
-/// that fails to parse is skipped and reported — one corrupt record must
-/// not take down serving for every other site.
+/// to an EpochDomain: it is freed, with its pack, only once every reader
+/// pinned before the publish has finished. A wrapper file (or pack) that
+/// fails to parse is skipped and reported — one corrupt record must not
+/// take down serving for every other site.
 class WrapperRepository {
  public:
   struct Options {
-    /// Directory backend root — or, with `pack_path`, the overlay
-    /// directory for hot publishes. May be empty in pack-only mode.
+    /// The wrapper tree — or, with `pack_path`, the overlay directory for
+    /// hot publishes. May be empty in pack-only mode.
     std::string root;
-    /// Wrapper-pack file (empty = pure directory backend). If the pack
-    /// fails to open, Load() falls back to the directory backend with a
-    /// logged warning.
+    /// Wrapper-pack file (empty = pack `root` in memory). If the pack
+    /// fails to open, Load() packs `root` instead, with a logged warning.
     std::string pack_path;
   };
 
   struct Entry {
     core::WrapperPtr wrapper;
     std::string record;  // The serialized form, for logs / responses.
-    /// Executable plan compiled at load time (XPath step program over
-    /// interned ids, BMH skip tables for LR/HLRT). nullptr when the
-    /// wrapper kind has no compiled form — the service then falls back to
-    /// the interpreted wrapper.
+    /// Executable plan compiled on the site's first hit (XPath step
+    /// program over interned ids, BMH skip tables for LR/HLRT). nullptr
+    /// when the wrapper kind has no compiled form — the service then
+    /// falls back to the interpreted wrapper.
     std::shared_ptr<const core::CompiledWrapper> compiled;
     /// Serialized members of every /extract response up to (and excluding)
     /// "values" — schema header, site, attribute, wrapper record and
     /// repository version are all constant for an entry within a snapshot,
-    /// so they are escaped once at load time and spliced into each
-    /// response with JsonWriter::RawMembers instead of re-serialized per
-    /// request.
+    /// so they are escaped once when the entry is built and spliced into
+    /// each response with JsonWriter::RawMembers instead of re-serialized
+    /// per request.
     std::string response_prefix;
     /// Per-(site, attribute) drift detector (DESIGN.md §13). Shared with
     /// the repository's drift registry so it survives snapshot swaps
@@ -121,77 +112,76 @@ class WrapperRepository {
     std::shared_ptr<DriftState> drift;
   };
 
+  /// A site's attributes, ascending, each with its entry.
+  using SiteEntries = std::vector<std::pair<std::string, const Entry*>>;
+
   class Snapshot {
    public:
     Snapshot() = default;
+    ~Snapshot();
     Snapshot(const Snapshot&) = delete;
     Snapshot& operator=(const Snapshot&) = delete;
 
-    /// (site, attribute) → entry. Directory backend: every wrapper on
-    /// disk. Pack backend: only the overlay delta (hot publishes +
-    /// overlay directory) — pack entries come through Find().
-    std::map<std::pair<std::string, std::string>, Entry> wrappers;
     /// Load failures, one "path: status" line per bad file.
     std::vector<std::string> errors;
     /// Monotonic generation number; bumped by every successful Load().
     uint64_t version = 0;
-    /// The mapped pack generation backing this snapshot; null for the
-    /// directory backend. Shared: an old snapshot keeps its mapping
-    /// alive for pinned readers after a reload swaps in a new one.
+    /// The pack this snapshot reads (mapped file or in-memory tree);
+    /// never null, and shared with the snapshots that keep it.
     std::shared_ptr<const core::WrapperPack> pack;
 
-    /// Overlay first, then the pack: a pack entry is lazily finalized
-    /// (record parsed and compiled as the directory scan does, response
-    /// prefix + drift state attached) into this snapshot's cache on
-    /// first hit; later hits return the cached entry. The pointer stays
-    /// valid for the snapshot's lifetime (hold a pin). Null on a true
-    /// miss or an unparseable pack record.
+    /// The entry for (site, attribute), overlay first. The site's first
+    /// hit builds its slot (every attribute parsed and compiled, response
+    /// prefix and drift state attached). Valid for the snapshot's
+    /// lifetime (hold a pin); null on a miss or an unparseable record.
     const Entry* Find(const std::string& site,
                       const std::string& attribute) const;
 
     /// The site's fused multi-attribute extractor (one StreamPage build
-    /// for all dom_free attributes), built on first use from the
-    /// MaterializeSite entries and cached for the snapshot's lifetime.
-    /// Null when the site is unknown or has no dom_free plans — callers
-    /// fall back to per-attribute extraction.
+    /// for all dom_free attributes), built with the site's slot. Null
+    /// when the site is unknown or has no dom_free plans — callers fall
+    /// back to per-attribute extraction.
     std::shared_ptr<const core::FusedSiteExtractor> FindFused(
         const std::string& site) const;
 
-    /// Every attribute of a site, ascending, merging the pack directory
-    /// with the overlay (overlay shadows same-name pack attributes).
-    /// Pack entries are materialized through the same cache as Find().
-    std::vector<std::pair<std::string, const Entry*>> MaterializeSite(
-        const std::string& site) const;
+    /// Every attribute of a site, ascending, the overlay shadowing
+    /// same-name pack attributes. Empty for an unknown site.
+    const SiteEntries& MaterializeSite(const std::string& site) const;
 
-    /// The lazily materialized pack entries this snapshot has served so
-    /// far (for /driftz, which must see detectors of pack-backed pairs).
+    /// The entries this snapshot has served so far, by site ordinal (for
+    /// /driftz, which lists the detectors of served pairs).
     std::vector<std::pair<std::pair<std::string, std::string>, const Entry*>>
     CachedEntries() const;
 
-    /// Overlay + pack entry count (the repository-size gauge).
-    size_t TotalWrapperCount() const;
+    /// Distinct (site, attribute) pairs: the pack's entries plus the
+    /// overlay pairs the pack lacks (the repository-size gauge).
+    size_t TotalWrapperCount() const { return wrapper_count_; }
 
    private:
     friend class WrapperRepository;
+    struct SiteSlot;
+    struct SlotChunk;
+    static constexpr size_t kSlotsPerChunk = 1024;
 
-    const Entry* MaterializeLocked(const std::string& site,
-                                   const std::string& attribute) const;
-    std::vector<std::pair<std::string, const Entry*>> MaterializeSiteLocked(
-        const std::string& site) const;
+    /// Indexes the overlay against the pack and sizes the slot table;
+    /// runs once, before the snapshot is published.
+    void Index();
+    const SiteSlot* Slot(const std::string& site) const;
+    const SiteSlot* BuildSlot(const std::string& site, size_t ordinal) const;
 
     std::shared_ptr<DriftRegistry> drift_registry_;
-    /// Guards the lazy caches; the rest of the snapshot is immutable
-    /// after publish.
-    mutable std::mutex cache_mu_;
-    mutable std::map<std::pair<std::string, std::string>,
-                     std::unique_ptr<const Entry>>
-        cache_;
-    /// Site → fused extractor. Caches nullptr for sites that exist but
-    /// have no dom_free plans (a cheap "don't retry" marker); unknown
-    /// sites are never cached.
-    mutable std::map<std::string,
-                     std::shared_ptr<const core::FusedSiteExtractor>>
-        fused_cache_;
+    /// site → attribute → record: hot publishes plus, next to a pack
+    /// file, the overlay directory. Shadows the pack.
+    std::map<std::string, std::map<std::string, std::string>> overlay_;
+    /// Overlay sites the pack lacks, ascending; their slot ordinals
+    /// follow the pack's.
+    std::vector<std::string> overlay_only_sites_;
+    size_t wrapper_count_ = 0;
+    /// The slot table: chunks of kSlotsPerChunk slots, each chunk
+    /// allocated on its first touch. A hit is two acquire loads.
+    mutable std::vector<std::atomic<SlotChunk*>> chunks_;
+    /// Serializes slot builds; never taken on a hit.
+    mutable std::mutex build_mu_;
   };
 
   explicit WrapperRepository(std::string root)
@@ -221,35 +211,34 @@ class WrapperRepository {
     const Snapshot* snapshot_;
   };
 
-  /// Builds and atomically publishes a new snapshot. Directory backend:
-  /// scans the tree (incrementally — unchanged files reuse the previous
-  /// snapshot's parsed entries); NotFound when the root directory is
-  /// missing (the previous snapshot, if any, stays published). Pack
-  /// backend: (re)opens the pack — O(mmap), nothing parsed — plus an
-  /// eager scan of the overlay directory; a pack that fails to open
-  /// logs a warning and falls back to the directory backend. Per-file
-  /// failures never fail the load. The replaced snapshot is retired to
-  /// the epoch domain and freed once all in-flight readers have moved
-  /// past it.
+  /// Builds and atomically publishes a new snapshot. With a pack file:
+  /// maps it — O(mmap), nothing parsed — and reads the overlay
+  /// directory's records. Otherwise, or when the pack file fails to open
+  /// (a logged warning): reads the wrapper tree into an in-memory pack,
+  /// compiling nothing; NotFound when the root directory is missing (the
+  /// previous snapshot, if any, stays published). Per-file failures never
+  /// fail the load. Detectors of pairs the new snapshot lacks are
+  /// dropped. The replaced snapshot is retired to the epoch domain and
+  /// freed once all in-flight readers have moved past it.
   Status Load();
 
-  /// Enables drift detection: every entry of subsequent snapshots (and
-  /// every lazily materialized pack entry) gets a DriftState, carried
-  /// across reloads while its serialized record is unchanged and
-  /// re-baselined when the wrapper (or config) changes. Call before the
-  /// first Load(); off by default.
+  /// Enables drift detection: every entry of subsequent snapshots gets a
+  /// DriftState when its site's slot is built, carried across reloads
+  /// while its serialized record is unchanged and re-baselined when the
+  /// wrapper (or config) changes. Call before the first Load(); off by
+  /// default.
   void SetDriftConfig(const DriftConfig& config);
 
   /// Hot-publishes one repaired wrapper (the re-induction worker's exit
   /// path): persists it atomically to `<root>/<site>/<attribute>.wrapper`
   /// (write-temp + rename, so restarts keep the repair and a racing
   /// Load() never reads a torn file), then publishes a new snapshot with
-  /// the entry swapped in — same epoch retirement discipline as Load(),
-  /// so in-flight readers keep extracting with the incumbent until their
-  /// pins release. With a pack backend the entry lands in the overlay
-  /// map, shadowing the mapped generation's record; in pack-only mode
-  /// (empty root) the publish is in-memory only. The pair's DriftState
-  /// is replaced with a fresh one baselined on the repaired wrapper.
+  /// the record in its overlay, shadowing the pack's — same epoch
+  /// retirement discipline as Load(), so in-flight readers keep
+  /// extracting with the incumbent until their pins release. In
+  /// pack-only mode (empty root) the publish is in-memory only. The
+  /// pair's DriftState is replaced with a fresh one baselined on the
+  /// repaired wrapper.
   Status PublishWrapper(const std::string& site, const std::string& attribute,
                         const core::WrapperPtr& wrapper);
 
@@ -270,10 +259,11 @@ class WrapperRepository {
   };
 
   /// Appends one publish to the repair quality ledger: in memory (bounded
-  /// to the most recent kLedgerCapacity entries) and durably to
-  /// `<root>/.repairs.tsv` (append-only TSV, reloaded on construction so
-  /// the ledger survives restarts). `sequence` and `published_version`
-  /// are filled in by the repository.
+  /// to the most recent kLedgerCapacity entries) and, with a root,
+  /// durably to `<root>/.repairs.tsv` (append-only TSV, reloaded on first
+  /// access so the ledger survives restarts). In pack-only mode (empty
+  /// root) the ledger is in memory only, like the publish. `sequence`
+  /// and `published_version` are filled in by the repository.
   void RecordRepair(RepairRecord record);
 
   /// The in-memory ledger tail, oldest first.
@@ -307,7 +297,6 @@ class WrapperRepository {
   uint64_t DiskFingerprint() const;
   /// Reads `<root>/.repairs.tsv` into ledger_ once (under mu_).
   void EnsureLedgerLoadedLocked() const;
-  void AttachDriftStates(Snapshot* next);
   std::shared_ptr<Snapshot> NewSnapshot() const;
   /// Swaps `next` in as the published snapshot (under mu_) and hands the
   /// replaced one to the caller for retirement.
@@ -325,12 +314,6 @@ class WrapperRepository {
   std::atomic<const Snapshot*> current_{nullptr};
   mutable EpochDomain epochs_;
   uint64_t loaded_fingerprint_ = 0;
-  /// Per-file (mtime, size) of the last successful directory scan — the
-  /// incremental-reload memo (under mu_).
-  std::map<std::string, std::pair<uint64_t, uint64_t>> file_meta_;
-  /// (mtime, size) of the currently mapped pack file, so an unchanged
-  /// pack is not remapped on every reload (under mu_).
-  std::pair<uint64_t, uint64_t> pack_meta_{0, 0};
   /// Detector states, shared with every snapshot (its own lock).
   std::shared_ptr<DriftRegistry> drift_registry_;
   /// Repair quality ledger (under mu_): most recent kLedgerCapacity

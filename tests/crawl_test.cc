@@ -122,21 +122,9 @@ TEST_F(CrawlTest, StreamingMatchesInterpreterOnBothBackends) {
 
   // The same records served from a wrapper pack.
   core::WrapperPackBuilder builder;
-  auto site_dirs = ListSubdirectories(root_ + "/repo");
-  ASSERT_TRUE(site_dirs.ok());
-  for (const std::string& site_dir : *site_dirs) {
-    auto files = ListFiles(site_dir, ".wrapper");
-    ASSERT_TRUE(files.ok());
-    for (const std::string& file : *files) {
-      std::filesystem::path path(file);
-      auto record = ReadFile(file);
-      ASSERT_TRUE(record.ok());
-      ASSERT_TRUE(builder
-                      .Add(path.parent_path().filename().string(),
-                           path.stem().string(), *record)
-                      .ok());
-    }
-  }
+  std::vector<std::string> errors;
+  ASSERT_TRUE(core::AddWrapperTree(root_ + "/repo", &builder, &errors).ok());
+  ASSERT_TRUE(errors.empty()) << errors.front();
   std::string pack = root_ + "/wrappers.pack";
   ASSERT_TRUE(builder.WriteFile(pack).ok());
   repository_ = std::make_unique<serve::WrapperRepository>(

@@ -612,6 +612,13 @@ TEST_F(PublishTest, DriftzReportsDetectorStates) {
   repository_.SetDriftConfig(TestConfig());
   ASSERT_TRUE(repository_.Load().ok());
   ExtractService service(&repository_, nullptr);
+  // /driftz lists the pairs the snapshot has served; serve this one once.
+  HttpRequest extract;
+  extract.method = "POST";
+  extract.path = "/extract";
+  extract.query = {{"site", "example.com"}, {"attribute", "name"}};
+  extract.body = "<ul><li>Ada</li></ul>";
+  ASSERT_EQ(service.Handle(extract).status, 200);
   HttpRequest request;
   request.method = "GET";
   request.path = "/driftz";

@@ -29,8 +29,6 @@
 namespace ntw {
 namespace {
 
-constexpr char kSuffix[] = ".wrapper";
-
 // Plans covering the delimiter edge cases: LR with and without a left
 // delimiter, HLRT with head+tail, HLRT whose tail never occurs.
 std::vector<std::pair<std::string, std::shared_ptr<const core::CompiledWrapper>>>
@@ -108,20 +106,9 @@ class FusedRepositoryTest : public ::testing::Test {
 
     pack_ = work_ + "/wrappers.pack";
     core::WrapperPackBuilder builder;
-    auto site_dirs = ListSubdirectories(root_);
-    ASSERT_TRUE(site_dirs.ok());
-    for (const std::string& site_dir : *site_dirs) {
-      std::string site = std::filesystem::path(site_dir).filename().string();
-      auto files = ListFiles(site_dir, kSuffix);
-      ASSERT_TRUE(files.ok());
-      for (const std::string& file : *files) {
-        std::string attr = std::filesystem::path(file).filename().string();
-        attr.resize(attr.size() - (sizeof(kSuffix) - 1));
-        auto record = ReadFile(file);
-        ASSERT_TRUE(record.ok());
-        ASSERT_TRUE(builder.Add(site, attr, *record).ok());
-      }
-    }
+    std::vector<std::string> errors;
+    ASSERT_TRUE(core::AddWrapperTree(root_, &builder, &errors).ok());
+    ASSERT_TRUE(errors.empty()) << errors.front();
     ASSERT_TRUE(builder.WriteFile(pack_).ok());
   }
 

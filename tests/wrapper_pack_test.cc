@@ -1,20 +1,22 @@
 // Wrapper-pack tests (DESIGN.md §15): build→open roundtrip identity
-// against the directory backend, deterministic rebuilds, clean rejection
-// of truncated / bit-flipped / version-mismatched packs, of headers whose
-// sections leave the file and of NTWPACK1 and NTWPACK2 files (no crash,
-// no out-of-bounds reads under ASan), site records whose entry range
-// leaves the entry directory, the repository's directory fallback when a
-// pack is corrupt, lazy pack materialization, overlay publishes on a pack
-// backend, and incremental directory reloads that reuse unchanged entries
-// by pointer.
+// against a repository over the wrapper tree, deterministic rebuilds,
+// clean rejection of truncated / bit-flipped / version-mismatched packs,
+// of headers whose sections leave the file and of NTWPACK1 and NTWPACK2
+// files (no crash, no out-of-bounds reads under ASan), site records whose
+// entry range leaves the entry directory, the repository's fallback to
+// the wrapper tree when a pack is corrupt, lazy per-site slots (also
+// under racing cold hits), overlay publishes on a pack, directory
+// reloads, detector pruning on reload, and the pack-only repair ledger.
 
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <latch>
 #include <map>
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/file_util.h"
@@ -31,8 +33,6 @@
 
 namespace ntw {
 namespace {
-
-constexpr char kSuffix[] = ".wrapper";
 
 // Matches the FNV-1a the pack uses for its header checksum, so the test
 // can patch header fields (version) and re-seal the checksum to prove the
@@ -73,24 +73,13 @@ class WrapperPackTest : public ::testing::Test {
     return root;
   }
 
-  // The same walk ntw_pack build does.
+  // The walk ntw_pack build and the repository use.
   core::WrapperPackBuilder BuildFromDir(const std::string& root) {
     core::WrapperPackBuilder builder;
-    auto site_dirs = ListSubdirectories(root);
-    EXPECT_TRUE(site_dirs.ok());
-    for (const std::string& site_dir : *site_dirs) {
-      std::string site = std::filesystem::path(site_dir).filename().string();
-      auto files = ListFiles(site_dir, kSuffix);
-      EXPECT_TRUE(files.ok());
-      for (const std::string& file : *files) {
-        std::string attr = std::filesystem::path(file).filename().string();
-        attr.resize(attr.size() - (sizeof(kSuffix) - 1));
-        auto record = ReadFile(file);
-        EXPECT_TRUE(record.ok());
-        Status added = builder.Add(site, attr, *record);
-        EXPECT_TRUE(added.ok()) << file << ": " << added.ToString();
-      }
-    }
+    std::vector<std::string> errors;
+    Status walked = core::AddWrapperTree(root, &builder, &errors);
+    EXPECT_TRUE(walked.ok()) << walked.ToString();
+    EXPECT_TRUE(errors.empty()) << errors.front();
     return builder;
   }
 
@@ -104,6 +93,20 @@ class WrapperPackTest : public ::testing::Test {
 
   std::string work_;
 };
+
+// The tree's (site, attribute) pairs, each with its wrapper file.
+std::map<std::pair<std::string, std::string>, std::string> TreePairs(
+    const std::string& root) {
+  std::map<std::pair<std::string, std::string>, std::string> pairs;
+  std::vector<std::string> errors;
+  Status walked = core::ForEachWrapperFile(
+      root,
+      [&pairs](const std::string& site, const std::string& attribute,
+               const std::string& path) { pairs[{site, attribute}] = path; },
+      &errors);
+  EXPECT_TRUE(walked.ok()) << walked.ToString();
+  return pairs;
+}
 
 std::string Trimmed(std::string record) {
   while (!record.empty() &&
@@ -131,21 +134,25 @@ TEST_F(WrapperPackTest, RoundtripMatchesDirectoryBackend) {
   ASSERT_TRUE(packed.Load().ok());
   auto dir = directory.Pin();
   auto from_pack = packed.Pin();
-  ASSERT_EQ(dir->wrappers.size(), 27u);
-  EXPECT_EQ(from_pack->TotalWrapperCount(), dir->wrappers.size());
-  for (const auto& [key, dir_entry] : dir->wrappers) {
+  auto pairs = TreePairs(root);
+  ASSERT_EQ(pairs.size(), 27u);
+  EXPECT_EQ(dir->TotalWrapperCount(), pairs.size());
+  EXPECT_EQ(from_pack->TotalWrapperCount(), pairs.size());
+  for (const auto& [key, file] : pairs) {
     const auto& [site, attr] = key;
-    auto on_disk = ReadFile(root + "/" + site + "/" + attr + kSuffix);
+    const auto* dir_entry = dir->Find(site, attr);
+    ASSERT_NE(dir_entry, nullptr) << site << "/" << attr;
+    auto on_disk = ReadFile(file);
     ASSERT_TRUE(on_disk.ok());
-    EXPECT_EQ(dir_entry.record, Trimmed(*on_disk));
+    EXPECT_EQ(dir_entry->record, Trimmed(*on_disk));
     auto view = (*pack)->FindEntry(site, attr);
     ASSERT_TRUE(view.has_value()) << site << "/" << attr;
-    EXPECT_EQ(view->record(), dir_entry.record);
+    EXPECT_EQ(view->record(), dir_entry->record);
 
     const auto* entry = from_pack->Find(site, attr);
     ASSERT_NE(entry, nullptr) << site << "/" << attr;
-    EXPECT_EQ(entry->record, dir_entry.record);
-    const auto& compiled = dir_entry.compiled;
+    EXPECT_EQ(entry->record, dir_entry->record);
+    const auto& compiled = dir_entry->compiled;
     if (compiled == nullptr) {
       EXPECT_EQ(entry->compiled, nullptr);
       continue;
@@ -179,11 +186,10 @@ TEST_F(WrapperPackTest, BuildIsDeterministicAndOrderInsensitive) {
   for (auto site_it = site_dirs->rbegin(); site_it != site_dirs->rend();
        ++site_it) {
     std::string site = std::filesystem::path(*site_it).filename().string();
-    auto files = ListFiles(*site_it, kSuffix);
+    auto files = ListFiles(*site_it, ".wrapper");
     ASSERT_TRUE(files.ok());
     for (auto it = files->rbegin(); it != files->rend(); ++it) {
-      std::string attr = std::filesystem::path(*it).filename().string();
-      attr.resize(attr.size() - (sizeof(kSuffix) - 1));
+      std::string attr = std::filesystem::path(*it).stem().string();
       auto record = ReadFile(*it);
       ASSERT_TRUE(record.ok());
       ASSERT_TRUE(reverse.Add(site, attr, *record).ok());
@@ -484,11 +490,13 @@ TEST_F(WrapperPackTest, SiteEntryRangeOutsideTheDirectoryIsAMiss) {
     EXPECT_TRUE(pinned->MaterializeSite(bad).empty());
     EXPECT_EQ(pinned->FindFused(bad), nullptr);
 
-    for (const auto& [key, entry] : dir->wrappers) {
+    for (const auto& [key, file] : TreePairs(root)) {
       if (key.first == bad) continue;
       const auto* found = pinned->Find(key.first, key.second);
       ASSERT_NE(found, nullptr) << key.first << "/" << key.second;
-      EXPECT_EQ(found->record, entry.record);
+      const auto* entry = dir->Find(key.first, key.second);
+      ASSERT_NE(entry, nullptr) << file;
+      EXPECT_EQ(found->record, entry->record);
     }
     for (size_t s = 0; s < 9; ++s) {
       std::string site = StrFormat("site_%06zu", s);
@@ -516,7 +524,9 @@ TEST_F(WrapperPackTest, RepositoryFallsBackToDirectoryOnCorruptPack) {
   Status loaded = repository.Load();
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
   auto pinned = repository.Pin();
-  EXPECT_EQ(pinned->pack, nullptr);
+  // The wrapper tree, packed in memory, stands in for the bad file.
+  ASSERT_NE(pinned->pack, nullptr);
+  EXPECT_NE(pinned->pack->path(), bad_pack);
   EXPECT_FALSE(pinned->errors.empty());  // The fallback is logged.
   const auto* entry = pinned->Find("site_000000", "attr_00");
   ASSERT_NE(entry, nullptr);
@@ -540,7 +550,8 @@ TEST_F(WrapperPackTest, PackBackendMaterializesLazilyAndCaches) {
   auto on_disk = ReadFile(root + "/site_000003/attr_01.wrapper");
   ASSERT_TRUE(on_disk.ok());
   EXPECT_EQ(entry->record, Trimmed(*on_disk));
-  EXPECT_EQ(pinned->CachedEntries().size(), 1u);
+  // A cold hit builds its whole site: both of its attributes.
+  EXPECT_EQ(pinned->CachedEntries().size(), 2u);
   // Second hit returns the cached entry, same object.
   EXPECT_EQ(pinned->Find("site_000003", "attr_01"), entry);
   // Unknown pairs are true misses.
@@ -560,6 +571,7 @@ TEST_F(WrapperPackTest, PublishOverlaysThePackBackend) {
   serve::WrapperRepository repository(
       serve::WrapperRepository::Options{std::string(), path});
   ASSERT_TRUE(repository.Load().ok());
+  EXPECT_EQ(repository.Pin()->TotalWrapperCount(), 8u);
 
   core::LrWrapper repaired("<em>", "</em>");
   auto record = core::SerializeWrapper(repaired);
@@ -580,23 +592,22 @@ TEST_F(WrapperPackTest, PublishOverlaysThePackBackend) {
   EXPECT_EQ(entry->compiled->left(), "<em>");
   // Untouched pairs still come from the pack.
   EXPECT_NE(pinned->Find("site_000002", "attr_01"), nullptr);
+  // The repair replaces a pair; it adds none.
+  EXPECT_EQ(pinned->TotalWrapperCount(), 8u);
+  EXPECT_EQ(obs::Registry::Global().GetGauge("ntw.repo.wrappers")->value(), 8);
 }
 
 TEST_F(WrapperPackTest, IncrementalReloadReusesUnchangedEntries) {
   std::string root = WriteRepo(3, 2);
   serve::WrapperRepository repository(root);
   ASSERT_TRUE(repository.Load().ok());
-  auto* reused =
-      obs::Registry::Global().GetCounter("ntw.repo.reload_entries_reused");
-
-  std::shared_ptr<const core::CompiledWrapper> kept;
-  std::shared_ptr<const core::CompiledWrapper> replaced;
+  std::string kept;
   {
     auto pinned = repository.Pin();
-    kept = pinned->Find("site_000000", "attr_00")->compiled;
-    replaced = pinned->Find("site_000001", "attr_00")->compiled;
-    ASSERT_NE(kept, nullptr);
-    ASSERT_NE(replaced, nullptr);
+    ASSERT_NE(pinned->Find("site_000001", "attr_00"), nullptr);
+    const auto* entry = pinned->Find("site_000000", "attr_00");
+    ASSERT_NE(entry, nullptr);
+    kept = entry->record;
   }
 
   // Rewrite one record with different bytes (size changes, so the
@@ -607,18 +618,139 @@ TEST_F(WrapperPackTest, IncrementalReloadReusesUnchangedEntries) {
   ASSERT_TRUE(
       WriteFile(root + "/site_000001/attr_00.wrapper", *record + "\n").ok());
 
-  int64_t reused_before = reused->value();
   ASSERT_TRUE(repository.Load().ok());
   auto pinned = repository.Pin();
-  // Unchanged files reuse the previous snapshot's parsed plan by pointer;
-  // the touched file gets a fresh one.
-  EXPECT_EQ(pinned->Find("site_000000", "attr_00")->compiled.get(),
-            kept.get());
+  // The rewritten record is served; the unchanged one still is.
+  const auto* unchanged = pinned->Find("site_000000", "attr_00");
+  ASSERT_NE(unchanged, nullptr);
+  EXPECT_EQ(unchanged->record, kept);
   const auto* swapped = pinned->Find("site_000001", "attr_00");
   ASSERT_NE(swapped, nullptr);
-  EXPECT_NE(swapped->compiled.get(), replaced.get());
+  EXPECT_EQ(swapped->record, *record);
   EXPECT_EQ(swapped->compiled->left(), "<section id=\"swapped\">");
-  EXPECT_EQ(reused->value() - reused_before, 5);  // 6 entries, 1 changed.
+}
+
+// A pair that leaves the pack loses its detector at the reload, so when
+// it comes back, even with the same record, it starts a fresh baseline.
+TEST_F(WrapperPackTest, ReloadDropsDetectorsOfVanishedPairs) {
+  std::string root = WriteRepo(3, 2);
+  std::string path = PackFromRepo(root);
+  serve::WrapperRepository repository(
+      serve::WrapperRepository::Options{std::string(), path});
+  repository.SetDriftConfig(serve::DriftConfig{});
+  ASSERT_TRUE(repository.Load().ok());
+  const auto* served = repository.Pin()->Find("site_000001", "attr_00");
+  ASSERT_NE(served, nullptr);
+  // Held, so a fresh detector can never reuse its address.
+  std::shared_ptr<serve::DriftState> first = served->drift;
+  ASSERT_NE(first, nullptr);
+
+  std::string file = core::WrapperFilePath(root, "site_000001", "attr_00");
+  auto record = ReadFile(file);
+  ASSERT_TRUE(record.ok());
+  ASSERT_TRUE(std::filesystem::remove(file));
+  PackFromRepo(root);
+  ASSERT_TRUE(repository.Load().ok());
+  EXPECT_EQ(repository.Pin()->Find("site_000001", "attr_00"), nullptr);
+
+  ASSERT_TRUE(WriteFile(file, *record).ok());
+  PackFromRepo(root);
+  ASSERT_TRUE(repository.Load().ok());
+  const auto* back = repository.Pin()->Find("site_000001", "attr_00");
+  ASSERT_NE(back, nullptr);
+  EXPECT_EQ(back->record, Trimmed(*record));
+  ASSERT_NE(back->drift, nullptr);
+  EXPECT_NE(back->drift, first);
+}
+
+// Without a root, the repair ledger has no file to live in: it stays in
+// memory, per repository, and nothing lands in the filesystem root.
+TEST_F(WrapperPackTest, PackOnlyRepairLedgerStaysInMemory) {
+  const std::filesystem::path stray = "/.repairs.tsv";
+  const bool existed = std::filesystem::exists(stray);
+  std::string path = PackFromRepo(WriteRepo(2, 1));
+  {
+    serve::WrapperRepository repository(
+        serve::WrapperRepository::Options{std::string(), path});
+    ASSERT_TRUE(repository.Load().ok());
+    serve::WrapperRepository::RepairRecord repair;
+    repair.site = "site_000001";
+    repair.attribute = "attr_00";
+    repair.repair_score = 0.75;
+    repository.RecordRepair(repair);
+    auto ledger = repository.repair_ledger();
+    ASSERT_EQ(ledger.size(), 1u);
+    EXPECT_EQ(ledger[0].sequence, 1);
+    EXPECT_EQ(ledger[0].site, "site_000001");
+    EXPECT_EQ(ledger[0].published_version, 1u);
+  }
+  serve::WrapperRepository other(
+      serve::WrapperRepository::Options{std::string(), path});
+  ASSERT_TRUE(other.Load().ok());
+  EXPECT_TRUE(other.repair_ledger().empty());
+
+  const bool appeared = !existed && std::filesystem::exists(stray);
+  if (appeared) std::filesystem::remove(stray);
+  EXPECT_FALSE(appeared) << "the ledger was written to " << stray;
+}
+
+// Eight threads race every entry point on one cold site through one pin:
+// the slot is built once, and everyone reads the same entries and the
+// same fused extractor — on a pack file and on a packed wrapper tree.
+TEST_F(WrapperPackTest, ConcurrentColdHitsBuildTheSiteOnce) {
+  std::string root = WriteRepo(9, 3);
+  std::string path = PackFromRepo(root);
+  obs::Counter* materializations =
+      obs::Registry::Global().GetCounter("ntw.repo.pack_materializations");
+  for (const auto& options :
+       {serve::WrapperRepository::Options{std::string(), path},
+        serve::WrapperRepository::Options{root, std::string()}}) {
+    SCOPED_TRACE(options.pack_path.empty() ? "wrapper tree" : "pack file");
+    serve::WrapperRepository repository(options);
+    ASSERT_TRUE(repository.Load().ok());
+    auto pinned = repository.Pin();
+    const std::string site = "site_000004";
+    int64_t before = materializations->value();
+
+    constexpr int kThreads = 8;
+    struct Seen {
+      const serve::WrapperRepository::Entry* found = nullptr;
+      std::vector<const serve::WrapperRepository::Entry*> site;
+      const core::FusedSiteExtractor* fused = nullptr;
+    };
+    std::vector<Seen> seen(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Seen& mine = seen[t];
+        auto materialize = [&] {
+          for (const auto& [attribute, entry] : pinned->MaterializeSite(site)) {
+            mine.site.push_back(entry);
+          }
+        };
+        start.arrive_and_wait();
+        // Each thread enters through one of the three calls first.
+        if (t % 3 == 0) mine.found = pinned->Find(site, "attr_01");
+        if (t % 3 == 1) materialize();
+        mine.fused = pinned->FindFused(site).get();
+        if (t % 3 != 0) mine.found = pinned->Find(site, "attr_01");
+        if (t % 3 != 1) materialize();
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+
+    EXPECT_EQ(materializations->value() - before, 3);
+    ASSERT_NE(seen[0].found, nullptr);
+    ASSERT_EQ(seen[0].site.size(), 3u);
+    EXPECT_EQ(seen[0].site[1], seen[0].found);
+    ASSERT_NE(seen[0].fused, nullptr);
+    for (int t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t].found, seen[0].found) << "thread " << t;
+      EXPECT_EQ(seen[t].site, seen[0].site) << "thread " << t;
+      EXPECT_EQ(seen[t].fused, seen[0].fused) << "thread " << t;
+    }
+  }
 }
 
 }  // namespace

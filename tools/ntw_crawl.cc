@@ -161,7 +161,7 @@ int Run(int argc, char** argv) {
   bool quiet = flags.Has("quiet");
   if (!quiet) {
     std::fprintf(stderr, "ntw_crawl: loaded %zu wrappers from %s\n",
-                 snapshot->wrappers.size(), wrapper_dir.c_str());
+                 snapshot->TotalWrapperCount(), wrapper_dir.c_str());
   }
 
   std::unique_ptr<serve::ReinduceWorker> reinducer;

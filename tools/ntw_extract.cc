@@ -153,7 +153,7 @@ int Run(int argc, char** argv) {
       }
     }
     // Same repository code path as the daemon — --pack maps the wrapper
-    // pack, --wrapper-dir (alone or as overlay) parses record files.
+    // pack, --wrapper-dir alone is packed in memory, or overlays --pack.
     serve::WrapperRepository repository(serve::WrapperRepository::Options{
         flags.Get("wrapper-dir"), flags.Get("pack")});
     Status loaded = repository.Load();

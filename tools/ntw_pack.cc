@@ -5,7 +5,8 @@
 //   ntw_pack inspect PACK [--site NAME]
 //   ntw_pack verify PACK
 //
-// `build` walks a `<root>/<site>/<attribute>.wrapper` repository tree and
+// `build` walks a `<root>/<site>/<attribute>.wrapper` repository tree (the
+// walk WrapperRepository::Load uses to pack a tree in memory) and
 // serializes it into one memory-mappable NTWPACK3 file: interned
 // strings (the wrapper records among them) and a sorted per-site
 // directory. The output is a pure function of the (site, attribute,
@@ -21,9 +22,9 @@
 // build.
 
 #include <cstdio>
-#include <filesystem>
+#include <string>
+#include <vector>
 
-#include "common/file_util.h"
 #include "common/flags.h"
 #include "common/obs_export.h"
 #include "core/wrapper_pack.h"
@@ -38,8 +39,6 @@ constexpr char kUsage[] =
     "       ntw_pack inspect PACK [--site NAME]\n"
     "       ntw_pack verify PACK\n";
 
-constexpr char kSuffix[] = ".wrapper";
-
 int Build(const Flags& flags) {
   std::string root = flags.Get("root");
   std::string out = flags.Get("out");
@@ -48,34 +47,16 @@ int Build(const Flags& flags) {
     return 2;
   }
   core::WrapperPackBuilder builder;
-  Result<std::vector<std::string>> site_dirs = ListSubdirectories(root);
-  if (!site_dirs.ok()) {
-    std::fprintf(stderr, "%s\n", site_dirs.status().ToString().c_str());
+  // One bad record must not abort a million-site build: the walk skips
+  // and reports it.
+  std::vector<std::string> skipped;
+  Status walked = core::AddWrapperTree(root, &builder, &skipped);
+  if (!walked.ok()) {
+    std::fprintf(stderr, "%s\n", walked.ToString().c_str());
     return 1;
   }
-  size_t skipped = 0;
-  for (const std::string& site_dir : *site_dirs) {
-    std::string site = std::filesystem::path(site_dir).filename().string();
-    Result<std::vector<std::string>> files = ListFiles(site_dir, kSuffix);
-    if (!files.ok()) continue;
-    for (const std::string& file : *files) {
-      std::string attribute = std::filesystem::path(file).filename().string();
-      attribute.resize(attribute.size() - (sizeof(kSuffix) - 1));
-      Result<std::string> record = ReadFile(file);
-      if (!record.ok()) {
-        std::fprintf(stderr, "ntw_pack: skipping %s: %s\n", file.c_str(),
-                     record.status().ToString().c_str());
-        ++skipped;
-        continue;
-      }
-      Status added = builder.Add(site, attribute, *record);
-      if (!added.ok()) {
-        // One bad record must not abort a million-site build.
-        std::fprintf(stderr, "ntw_pack: skipping %s: %s\n", file.c_str(),
-                     added.ToString().c_str());
-        ++skipped;
-      }
-    }
+  for (const std::string& error : skipped) {
+    std::fprintf(stderr, "ntw_pack: skipping %s\n", error.c_str());
   }
   if (builder.entry_count() == 0) {
     std::fprintf(stderr, "ntw_pack: no wrapper records under %s\n",
@@ -90,7 +71,7 @@ int Build(const Flags& flags) {
   std::fprintf(stderr,
                "ntw_pack: wrote %s (%zu sites, %zu entries, %zu skipped)\n",
                out.c_str(), builder.site_count(), builder.entry_count(),
-               skipped);
+               skipped.size());
   return 0;
 }
 

@@ -30,12 +30,11 @@
 // the --drift-*/--reinduce-* flags tune thresholds. GET /driftz dumps
 // detector state.
 //
-// --pack FILE opens a memory-mapped wrapper pack (DESIGN.md §15) instead
-// of eagerly parsing the directory: startup is O(mmap), cold sites page
-// in on first hit. --wrapper-dir then becomes the overlay directory that
-// self-heal publishes land in (and may be omitted for read-only serving).
-// A pack that fails to open logs a warning and serving falls back to the
-// directory backend.
+// --pack FILE serves a memory-mapped wrapper pack (DESIGN.md §15):
+// startup is O(mmap), and --wrapper-dir becomes the overlay directory
+// that self-heal publishes land in (optional for read-only serving).
+// Without --pack, or when it fails to open (a logged warning), the
+// --wrapper-dir tree is packed in memory. Sites compile on first hit.
 //
 // Endpoints (see DESIGN.md §8):
 //   POST /extract?site=S&attribute=A        body = one HTML page
@@ -223,18 +222,9 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "ntw_serve: skipped wrapper: %s\n", error.c_str());
   }
   if (!quiet) {
-    if (snapshot->pack != nullptr) {
-      std::fprintf(stderr,
-                   "ntw_serve: mapped pack %s (%zu sites, %llu entries) + "
-                   "%zu overlay wrappers\n",
-                   pack_path.c_str(), snapshot->pack->site_count(),
-                   static_cast<unsigned long long>(
-                       snapshot->pack->header().entry_count),
-                   snapshot->wrappers.size());
-    } else {
-      std::fprintf(stderr, "ntw_serve: loaded %zu wrappers from %s\n",
-                   snapshot->wrappers.size(), wrapper_dir.c_str());
-    }
+    std::fprintf(stderr, "ntw_serve: loaded %zu wrappers (%zu sites) from %s\n",
+                 snapshot->TotalWrapperCount(), snapshot->pack->site_count(),
+                 snapshot->pack->path().c_str());
   }
 
   // --no-fast-path sends every request to the interpreted
@@ -278,7 +268,7 @@ int Run(int argc, char** argv) {
                    status.ToString().c_str());
     } else if (!quiet) {
       std::fprintf(stderr, "ntw_serve: repository reloaded (%zu wrappers)\n",
-                   repository.snapshot()->wrappers.size());
+                   repository.snapshot()->TotalWrapperCount());
     }
   });
   server.SetTickHook([&repository, &server] {
