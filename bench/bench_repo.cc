@@ -63,8 +63,8 @@ constexpr char kUsage[] =
     "       bench_repo probe PACK SITES   (one fresh-process measurement)\n";
 
 // The directory baseline (and its tree materialization) stops here: past
-// 100k sites the eager load's cost is already established as linear, and
-// writing millions of wrapper files would dominate the sweep's runtime.
+// 100k sites the directory load's cost is already established as linear,
+// and writing millions of wrapper files would dominate the sweep's runtime.
 constexpr int64_t kMaxDirBaselineSites = 100000;
 
 struct SweepPoint {

@@ -245,7 +245,8 @@ WrapperRepository::Snapshot::BuildSlot(const std::string& site,
   auto slot = std::make_unique<SiteSlot>();
   slot->site = site;
   slot->storage.reserve(records.size());
-  std::vector<std::pair<std::string, std::shared_ptr<const core::CompiledWrapper>>>
+  std::vector<
+      std::pair<std::string, std::shared_ptr<const core::CompiledWrapper>>>
       plans;
   for (const auto& [attribute, record] : records) {
     std::string text(record);
